@@ -22,14 +22,12 @@ from .channels import (
     SchemaError,
     amplitude_damping,
     apply,
-    channel_distance_heuristic,
     channel_from_json,
     choi,
     dephasing,
     depolarizing,
     identity,
     is_entanglement_breaking_qubit,
-    kraus_from_choi,
     random_channel,
 )
 from .entropy import (
@@ -64,15 +62,12 @@ from .cost import (
     CurveSample,
     Ec1Estimate,
     UNBOUNDED,
-    definetti_count,
     definetti_count_log2,
     dephasing_curves,
     ec1_general,
     ec1_qubit,
     epsnet_size,
-    epsnet_size_linear,
     identity_error_bound,
-    postselection_factor,
     postselection_factor_log2,
     security_region,
     security_threshold,

@@ -16,11 +16,8 @@ from .linalg import (
     DensityMatrix,
     ValidationError,
     haar_isometry,
-    herm_eig,
-    numerical_rank,
     partial_trace_mat,
     partial_transpose_mat,
-    trace_norm,
 )
 
 COMPLETENESS_TOL = 1e-9   # max-entry deviation of sum K^dag K from identity
@@ -128,23 +125,6 @@ def choi(ch: KrausChannel) -> ChoiState:
     return ChoiState(d, ch.dim_out, DensityMatrix((ch.dim_out, d), mat))
 
 
-def kraus_from_choi(c: ChoiState) -> KrausChannel:
-    """Canonical Kraus form from the Choi eigenvectors.
-
-    One operator per eigenvalue above the rank threshold, so the operator
-    count equals the numerical rank of the Choi state.
-    """
-    w, v = herm_eig(c.state.mat)
-    r = numerical_rank(w)
-    if r == 0:
-        raise ValidationError("Choi state has numerical rank 0")
-    ops = []
-    for i in range(r):
-        k = np.sqrt(c.dim_in * w[i]) * v[:, i].reshape(c.dim_out, c.dim_in)
-        ops.append(k)
-    return KrausChannel(c.dim_in, c.dim_out, tuple(ops))
-
-
 def identity(d: int = 2) -> KrausChannel:
     """Identity channel on a d-dimensional system."""
     return KrausChannel(d, d, (np.eye(d, dtype=complex),))
@@ -196,70 +176,6 @@ def is_entanglement_breaking_qubit(ch: KrausChannel) -> bool:
     return bool(evals[0] >= -PPT_TOL)
 
 
-def _sign_operator(mat: np.ndarray) -> np.ndarray:
-    w, v = herm_eig(mat)
-    return (v * np.sign(w)) @ v.conj().T
-
-
-def channel_distance_heuristic(a: KrausChannel, b: KrausChannel,
-                               restarts: int = 8, seed: int = 0,
-                               iters: int = 60) -> float:
-    """Seeded lower bound on the diamond-norm distance between two channels.
-
-    Maximizes || ((a - b) (x) I)(psi) ||_1 over pure inputs with a reference
-    system of the input dimension by alternating ascent: the trace-norm dual
-    witness for the current output, then the top eigenvector of the pulled
-    back witness.  Every iterate is a feasible input, so the running maximum
-    is a certified lower bound on the diamond norm, nondecreasing in
-    ``restarts``, and deterministic for a fixed seed.
-    """
-    if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
-        raise ValueError("channels must share input and output dimensions")
-    d = a.dim_in
-    ka = _lifted_kraus(a, d)
-    kb = _lifted_kraus(b, d)
-
-    def delta(x):
-        out = None
-        for k in ka:
-            t = k @ x @ k.conj().T
-            out = t if out is None else out + t
-        for k in kb:
-            out = out - k @ x @ k.conj().T
-        return out
-
-    def delta_adj(w):
-        out = None
-        for k in ka:
-            t = k.conj().T @ w @ k
-            out = t if out is None else out + t
-        for k in kb:
-            out = out - k.conj().T @ w @ k
-        return out
-
-    def ascend(psi):
-        best = 0.0
-        for _ in range(iters):
-            x = delta(np.outer(psi, psi.conj()))
-            val = trace_norm(x)
-            if val <= best + 1e-12:
-                return max(best, val)
-            best = val
-            m = delta_adj(_sign_operator(x))
-            w, v = herm_eig(m)
-            psi = v[:, 0]
-        return best
-
-    # Restart 0 is the maximally entangled input; the rest are Haar samples,
-    # each on its own (seed, restart) stream.
-    best = ascend(np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d))
-    for i in range(1, max(1, restarts)):
-        rng = np.random.default_rng((seed, i))
-        psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        best = max(best, ascend(psi / np.linalg.norm(psi)))
-    return best
-
-
 def random_channel(dim_in: int, dim_out: int, kraus_count: int,
                    rng: np.random.Generator) -> KrausChannel:
     """Haar-random channel from a random Stinespring isometry."""
@@ -268,18 +184,11 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int,
     return KrausChannel(dim_in, dim_out, ops)
 
 
-def choi_distance(a: ChoiState, b: ChoiState) -> float:
-    """Trace distance between two Choi states of equal dimensions."""
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        raise ValueError("Choi states live on different spaces")
-    return 0.5 * trace_norm(a.state.mat - b.state.mat)
-
-
-_FAMILIES = {
-    "identity": identity,
-    "dephasing": dephasing,
-    "depolarizing": depolarizing,
-    "amplitude_damping": amplitude_damping,
+# Parametrized qubit families: name -> (constructor, wire-format parameter key).
+QUBIT_FAMILIES = {
+    "dephasing": (dephasing, "p"),
+    "depolarizing": (depolarizing, "r"),
+    "amplitude_damping": (amplitude_damping, "r"),
 }
 
 
@@ -305,14 +214,14 @@ def channel_from_json(obj) -> KrausChannel:
         if d * d > MAX_CHANNEL_DIM:
             raise SchemaError(f"identity dimension {d} exceeds the supported range")
         return identity(d)
-    if kind in ("dephasing", "depolarizing", "amplitude_damping"):
-        key = "p" if kind == "dephasing" else "r"
+    if isinstance(kind, str) and kind in QUBIT_FAMILIES:
+        ctor, key = QUBIT_FAMILIES[kind]
         val = obj.get(key)
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{kind} channel needs a numeric '{key}'")
         if not 0.0 <= float(val) <= 1.0:
             raise SchemaError(f"{kind} parameter {val} outside [0, 1]")
-        return _FAMILIES[kind](float(val))
+        return ctor(float(val))
     if kind == "kraus":
         din, dout = obj.get("dim_in"), obj.get("dim_out")
         ops = obj.get("ops")

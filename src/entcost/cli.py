@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import cost
-from .channels import SchemaError, channel_from_json, choi
+from .channels import QUBIT_FAMILIES, SchemaError, channel_from_json, choi
 from .entanglement import (
     Decomposition,
     concurrence_2q,
@@ -123,6 +123,17 @@ def parse_state(text: str) -> DensityMatrix:
     return state_from_json(_parse_json_arg(text, "--state"))
 
 
+def _float_arg(text: str) -> float:
+    """Float option value; NaN is refused because JSON output cannot carry it."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if math.isnan(x):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return x
+
+
 def _decomposition_json(d: Decomposition, value: float) -> dict:
     return {
         "value": value,
@@ -173,15 +184,13 @@ def _cmd_eof(args) -> str:
 
 def _cmd_ec1(args) -> str:
     ch = parse_channel(args.channel)
-    if ch.dim_in == 2 and ch.dim_out == 2:
-        return _emit_json({"ec1": cost.ec1_qubit(ch), "certified": True})
     est = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
     return _emit_json({"ec1": est.value, "certified": est.certified})
 
 
 def _cmd_security_region(args) -> str:
     rows = cost.security_region(args.family, _grid(args.points))
-    pname = cost.family_param_name(args.family)
+    pname = QUBIT_FAMILIES[args.family][1]
     if args.format == "csv":
         return _emit_csv([pname, "ec1", "nu_max"],
                          [[r.param, r.values["ec1"], r.values["nu_max"]] for r in rows])
@@ -219,10 +228,7 @@ def _cmd_strong_converse(args) -> str:
     if args.channel is None:
         raise SchemaError("strong-converse needs --channel or --identity")
     ch = parse_channel(args.channel)
-    if ch.dim_in == 2 and ch.dim_out == 2:
-        ec1, certified = cost.ec1_qubit(ch), True
-    else:
-        ec1, certified = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
+    ec1, certified = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
     params = cost.ConverseParams(rate=ec1 + args.delta2, delta1=args.delta1,
                                  delta2=args.delta2, dim_in=ch.dim_in,
                                  dim_out=ch.dim_out, n=args.n)
@@ -327,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="force the decomposition search even on two qubits")
     p.add_argument("--max-items", type=int, default=None,
                    help="decomposition size (default min(rank^2, 2 rank))")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_float_arg, default=1e-9,
                    help="convergence tolerance across the final restart")
     add_seeded(p, 20)
     p.set_defaults(func=_cmd_eof)
@@ -340,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("security-region",
                        help="noisy-storage security boundary for a channel family")
     p.add_argument("--family", required=True,
-                   choices=["dephasing", "depolarizing", "amplitude_damping"],
+                   choices=list(QUBIT_FAMILIES),
                    help="channel family to sweep")
     p.add_argument("--points", type=int, default=101,
                    help="grid points on [0, 1] (default 101)")
@@ -352,12 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="strong-converse error lower bounds")
     p.add_argument("--identity", action="store_true",
                    help="evaluate the noiseless-qubit bound 1 - 2^(-n(R-1))")
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=_float_arg, default=None,
                    help="code rate R for --identity mode")
     p.add_argument("--channel", default=None, help="channel JSON description")
-    p.add_argument("--delta1", type=float, default=0.1,
+    p.add_argument("--delta1", type=_float_arg, default=0.1,
                    help="simulation slack delta1 > 0 (default 0.1)")
-    p.add_argument("--delta2", type=float, default=0.2,
+    p.add_argument("--delta2", type=_float_arg, default=0.2,
                    help="rate slack delta2 > delta1 (default 0.2)")
     p.add_argument("--n", type=int, required=True, help="number of channel uses")
     add_seeded(p, 6)
@@ -380,13 +386,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth-h0",
                        help="classical smooth conditional max-entropy from a CSV table")
     p.add_argument("--table", required=True, help="CSV file with header x,y,p")
-    p.add_argument("--eps", type=float, required=True, help="L1 smoothing budget")
+    p.add_argument("--eps", type=_float_arg, required=True, help="L1 smoothing budget")
     p.set_defaults(func=_cmd_smooth_h0)
 
     p = sub.add_parser("one-shot-cost",
                        help="one-shot dilution-cost bounds for a bipartite state")
     p.add_argument("--state", required=True, help="density matrix JSON")
-    p.add_argument("--eps", type=float, required=True, help="dilution error in [0, 1]")
+    p.add_argument("--eps", type=_float_arg, required=True, help="dilution error in [0, 1]")
     p.add_argument("--max-items", type=int, default=None,
                    help="decomposition size (default min(rank^2, 2 rank))")
     add_seeded(p, 8)
@@ -405,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimR", type=int, default=None, help="reference dimension")
     p.add_argument("--dimB", type=int, default=None, help="output dimension")
     p.add_argument("--chi", type=int, default=None, help="operator count chi")
-    p.add_argument("--eps", type=float, default=None, help="net resolution eps")
+    p.add_argument("--eps", type=_float_arg, default=None, help="net resolution eps")
     p.set_defaults(func=_cmd_constants)
 
     return parser

@@ -16,15 +16,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    amplitude_damping,
-    apply,
-    choi,
-    dephasing,
-    depolarizing,
-)
-from .entanglement import concurrence_2q, eof_numeric, max_entangled
+from .channels import QUBIT_FAMILIES, KrausChannel, apply, choi
+from .entanglement import eof_2q, eof_numeric, max_entangled
 from .entropy import binary_h
 from .linalg import PureState, random_pure_state
 
@@ -78,8 +71,7 @@ def ec1_qubit(ch: KrausChannel) -> float:
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise ValueError("ec1_qubit supports 2 -> 2 channels only")
-    c = concurrence_2q(choi(ch).state)
-    return binary_h(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+    return eof_2q(choi(ch).state)
 
 
 class Ec1Estimate(NamedTuple):
@@ -132,6 +124,11 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
 UNBOUNDED = math.inf
 
 
+def _nu_max(ec1: float) -> float:
+    """Storage-rate threshold 1 / (2 ec1), unbounded when ec1 is zero."""
+    return UNBOUNDED if ec1 == 0.0 else 1.0 / (2.0 * ec1)
+
+
 def security_threshold(ch: KrausChannel) -> float:
     """Largest storage rate with provable two-party security, 1 / (2 ec1).
 
@@ -139,36 +136,19 @@ def security_threshold(ch: KrausChannel) -> float:
     is zero, i.e. for entanglement-breaking storage noise, where security
     holds at every storage rate.
     """
-    e = ec1_qubit(ch)
-    if e == 0.0:
-        return UNBOUNDED
-    return 1.0 / (2.0 * e)
-
-
-_FAMILIES = {
-    "dephasing": (dephasing, "p"),
-    "depolarizing": (depolarizing, "r"),
-    "amplitude_damping": (amplitude_damping, "r"),
-}
-
-
-def family_param_name(family: str) -> str:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown channel family {family!r}")
-    return _FAMILIES[family][1]
+    return _nu_max(ec1_qubit(ch))
 
 
 def security_region(family: str, grid: Sequence[float]) -> list[CurveSample]:
     """Security boundary nu_max(param) = 1/(2 ec1) for one channel family."""
-    if family not in _FAMILIES:
+    if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
-    ctor = _FAMILIES[family][0]
+    ctor = QUBIT_FAMILIES[family][0]
     rows = []
     for param in grid:
         chan = ctor(float(param))
         e = ec1_qubit(chan)
-        rows.append(CurveSample(float(param),
-                                {"ec1": e, "nu_max": UNBOUNDED if e == 0.0 else 1.0 / (2.0 * e)}))
+        rows.append(CurveSample(float(param), {"ec1": e, "nu_max": _nu_max(e)}))
     return rows
 
 
@@ -177,9 +157,9 @@ def dephasing_curves(grid: Iterable[float]) -> list[CurveSample]:
 
     Per grid point p: the forward-assisted quantum capacity ``1 - h(p)``, the
     closed-form single-letter cost bound ``h(1/2 + sqrt(p(1-p)))``, and the
-    entanglement-assisted quantum capacity ``1 - h(p/2)/2``.  The chain
-    q_arrow <= ec1 <= q_e is checked on every row; a violation raises,
-    because it would contradict a theorem.
+    entanglement-assisted quantum capacity ``1 - h(p/2)/2``.  The bound
+    q_arrow <= ec1 is checked on every row; a violation raises, because it
+    would contradict a theorem.
 
     The flip probability must lie in [0, 1/2]: dephasing at 1 - p is the
     same channel up to a Z rotation, and the capacity expressions are only
@@ -193,9 +173,9 @@ def dephasing_curves(grid: Iterable[float]) -> list[CurveSample]:
         q_arrow = 1.0 - binary_h(p)
         ec1 = binary_h(0.5 + math.sqrt(p * (1.0 - p)))
         q_e = 1.0 - 0.5 * binary_h(0.5 * p)
-        if q_arrow > ec1 + 1e-12 or ec1 > q_e + 1e-12:
+        if q_arrow > ec1 + 1e-12:
             raise RuntimeError(
-                f"capacity sandwich violated at p={p}: {q_arrow}, {ec1}, {q_e}")
+                f"capacity bound q_arrow <= ec1 violated at p={p}: {q_arrow}, {ec1}")
         rows.append(CurveSample(p, {"q_arrow": q_arrow, "ec1": ec1, "q_e": q_e}))
     return rows
 
@@ -252,27 +232,11 @@ def postselection_factor_log2(n: int, dim_a: int) -> float:
     return (dim_a * dim_a - 1) * math.log2(n + 1.0)
 
 
-def postselection_factor(n: int, dim_a: int) -> float:
-    """Linear-domain postselection factor; valid only while log2 <= 63."""
-    l2 = postselection_factor_log2(n, dim_a)
-    if l2 > 63.0:
-        raise ValueError("factor exceeds 2^63, use postselection_factor_log2")
-    return 2.0 ** l2
-
-
 def definetti_count_log2(n: int, dim_a: int, dim_r: int) -> float:
     """log2 of the product-state decomposition count (n+1)^(2 |A||R| - 2)."""
     if n < 0 or dim_a < 1 or dim_r < 1:
         raise ValueError("need n >= 0 and positive dimensions")
     return (2 * dim_a * dim_r - 2) * math.log2(n + 1.0)
-
-
-def definetti_count(n: int, dim_a: int, dim_r: int) -> float:
-    """Linear-domain decomposition count; valid only while log2 <= 63."""
-    l2 = definetti_count_log2(n, dim_a, dim_r)
-    if l2 > 63.0:
-        raise ValueError("count exceeds 2^63, use definetti_count_log2")
-    return 2.0 ** l2
 
 
 def epsnet_size(chi: int, eps: float, dim_a: int, dim_b: int) -> float:
@@ -286,11 +250,3 @@ def epsnet_size(chi: int, eps: float, dim_a: int, dim_b: int) -> float:
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     return 2.0 * chi * dim_a * dim_b * math.log2(2.0 * math.sqrt(dim_b) / eps + 1.0)
-
-
-def epsnet_size_linear(chi: int, eps: float, dim_a: int, dim_b: int) -> float:
-    """Linear-domain net size; valid only while log2 <= 63."""
-    l2 = epsnet_size(chi, eps, dim_a, dim_b)
-    if l2 > 63.0:
-        raise ValueError("net size exceeds 2^63, use epsnet_size")
-    return 2.0 ** l2

@@ -201,7 +201,7 @@ def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
     summed tail mass fits in ``eps``; the returned value is log2(s).
     Nonincreasing in ``eps`` and equal to :func:`classical_h0_cond` at 0.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
     s = _smallest_support(p.weights, eps)
     if s == 0:
@@ -226,7 +226,7 @@ def smooth_h0_cond_cq(s: CQState, eps: float) -> float:
     classical truncation problem on the table of branch eigenvalues, where
     zeroing an eigenvalue lam costs exactly lam in trace distance.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
     sup = _smallest_support(_cq_columns(s), eps)
     if sup == 0:

@@ -238,11 +238,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Root fidelity || sqrt(rho) sqrt(sigma) ||_1, in [0, 1] for states."""
+def _root_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch {rho.dims} vs {sigma.dims}")
-    val = trace_norm(psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat))
+    return trace_norm(psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat))
+
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Root fidelity || sqrt(rho) sqrt(sigma) ||_1, in [0, 1] for states."""
+    val = _root_fidelity(rho, sigma)
     return float(min(val, 1.0)) if not (rho.subnormalized or sigma.subnormalized) else float(val)
 
 
@@ -253,9 +257,7 @@ def purified_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     ``sqrt((1 - tr rho)(1 - tr sigma))``, which reduces to the plain fidelity
     when either state is normalized.
     """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch {rho.dims} vs {sigma.dims}")
-    f = trace_norm(psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat))
+    f = _root_fidelity(rho, sigma)
     gap_r = max(0.0, 1.0 - rho.trace())
     gap_s = max(0.0, 1.0 - sigma.trace())
     fbar = f + np.sqrt(gap_r * gap_s)

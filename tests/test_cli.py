@@ -8,6 +8,7 @@ import pytest
 
 from entcost.cli import run, state_from_json
 from entcost.channels import SchemaError
+from entcost.cost import dephasing_curves
 from entcost.entropy import binary_h
 
 DEPH = '{"type":"dephasing","p":0.25}'
@@ -101,6 +102,16 @@ def test_dephasing_curves_csv(capsys):
     assert last[0] == 0.5 and last[2] == 0.0
 
 
+def test_dephasing_curves_full_grid(capsys):
+    # ec1 exceeds q_e for p in (0, 0.00183], which a 1001-point grid samples
+    rows = dephasing_curves(np.linspace(0.0, 0.5, 1001))
+    assert len(rows) == 1001
+    assert all(r.values["q_arrow"] <= r.values["ec1"] for r in rows)
+    code, out, _ = invoke(capsys, "dephasing-curves", "--points", "1001")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 1001
+
+
 def test_smooth_h0_table(capsys, tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("x,y,p\n0,0,0.5\n1,0,0.3\n2,0,0.15\n3,0,0.05\n")
@@ -182,6 +193,15 @@ def test_exit_codes(capsys):
     # unknown family rejected by argparse
     code, _, _ = invoke(capsys, "security-region", "--family", "mystery")
     assert code == 2
+    # NaN floats rejected by argparse: the output could not be valid JSON
+    code, out, _ = invoke(capsys, "strong-converse", "--identity", "--rate", "nan",
+                          "--n", "3")
+    assert code == 2 and out == ""
+    code, out, _ = invoke(capsys, "constants", "--epsnet", "--chi", "1", "--eps", "nan",
+                          "--dimA", "2", "--dimB", "2")
+    assert code == 2 and out == ""
+    code, out, _ = invoke(capsys, "eof", "--state", CC, "--numeric", "--tol", "nan")
+    assert code == 2 and out == ""
 
 
 def test_help_exits_zero(capsys):

@@ -17,15 +17,12 @@ from entcost.cost import (
     ConverseParams,
     CurveSample,
     UNBOUNDED,
-    definetti_count,
     definetti_count_log2,
     dephasing_curves,
     ec1_general,
     ec1_qubit,
     epsnet_size,
-    epsnet_size_linear,
     identity_error_bound,
-    postselection_factor,
     postselection_factor_log2,
     security_region,
     security_threshold,
@@ -199,32 +196,21 @@ def test_converse_params_validation():
 
 
 def test_postselection_factor():
-    assert postselection_factor(1, 2) == 8.0
-    assert postselection_factor(0, 2) == 1.0
     assert postselection_factor_log2(3, 2) == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        postselection_factor(10 ** 7, 4)
 
 
 def test_definetti_count():
-    assert definetti_count(1, 2, 2) == 64.0
-    assert definetti_count(0, 3, 3) == 1.0
     # with a reference of the input size this is the postselection factor squared
     for n in (1, 2, 5):
         assert definetti_count_log2(n, 2, 2) == pytest.approx(
             2 * postselection_factor_log2(n, 2))
-    with pytest.raises(ValueError):
-        definetti_count(10 ** 7, 3, 3)
 
 
 def test_epsnet_size():
     assert epsnet_size(1, 1.0, 1, 1) == pytest.approx(math.log2(9.0))
     assert epsnet_size(2, 0.5, 2, 2) == pytest.approx(2 * epsnet_size(1, 0.5, 2, 2))
-    assert epsnet_size_linear(1, 1.0, 1, 1) == pytest.approx(9.0)
     with pytest.raises(ValueError):
         epsnet_size(1, 0.0, 2, 2)
-    with pytest.raises(ValueError):
-        epsnet_size_linear(4, 0.01, 2, 2)
 
 
 def test_ec1_zero_iff_entanglement_breaking():

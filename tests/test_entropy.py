@@ -142,6 +142,8 @@ def test_classical_smooth_h0_single_column():
     assert classical_smooth_h0_cond(col, 0.5) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         classical_smooth_h0_cond(col, -0.1)
+    with pytest.raises(ValueError):
+        classical_smooth_h0_cond(col, float("nan"))
 
 
 def test_classical_smooth_h0_monotone_in_eps():
@@ -179,6 +181,12 @@ def test_smooth_h0_cond_cq_examples():
     assert smooth_h0_cond_cq(one, 0.05) == 0.0
     two = cq([(0.5, dm([0.7, 0.3])), (0.5, dm([0.7, 0.3]))])
     assert smooth_h0_cond_cq(two, 1e-6) == 1.0
+
+
+def test_smooth_h0_cond_cq_rejects_nan_budget():
+    s = cq([(0.5, dm([0.9, 0.1])), (0.5, dm([0.6, 0.4]))])
+    with pytest.raises(ValueError):
+        smooth_h0_cond_cq(s, float("nan"))
 
 
 def test_smooth_h0_cond_cq_matches_classical_oracle():
