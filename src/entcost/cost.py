@@ -184,12 +184,15 @@ def identity_error_bound(rate: float, n: int) -> float:
     """Strong-converse error floor 1 - 2^(-n(R-1)) for noiseless qubit lines.
 
     Holds for every code of rate R >= 1 over n uses, with or without
-    classical communication assistance.
+    classical communication assistance.  With no uses the floor is 1 - 2^0 = 0
+    at every rate, including R = inf (where ``n * (R - 1)`` would be NaN).
     """
     if rate < 1.0:
         raise ValueError("the bound applies to rates >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 0.0
     return 1.0 - 2.0 ** (-n * (rate - 1.0))
 
 

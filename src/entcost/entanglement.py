@@ -15,12 +15,14 @@ and a heuristic lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .entropy import CQState, binary_h
+from .entropy import CQState, _column_tails, _smallest_support, binary_h
 from .linalg import (
     RANK_RTOL,
     DensityMatrix,
@@ -70,37 +72,55 @@ def eof_2q(rho: DensityMatrix) -> float:
     return binary_h(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
 
 
-def _schmidt_sq(vec: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Squared Schmidt coefficients of a (possibly unnormalized) vector."""
-    m = vec.reshape(da, db)
-    gram = m @ m.conj().T if da <= db else m.conj().T @ m
-    n = gram.shape[0]
+def _dag(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _marginal(vecs: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Vectors (..., da*db) as matrices (..., n, N) on the smaller side n.
+
+    ``M @ M^H`` is the marginal gram of that side (complex conjugated when
+    da > db, which leaves its spectrum unchanged).
+    """
+    m = vecs.reshape(vecs.shape[:-1] + (da, db))
+    return m if da <= db else np.swapaxes(m, -1, -2)
+
+
+def _gram_spectra(g: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, clipped at 0, of PSD grams (..., n, n).
+
+    Closed form for n <= 2, one batched ``eigvalsh`` otherwise.
+    """
+    n = g.shape[-1]
     if n == 1:
-        return np.array([max(gram[0, 0].real, 0.0)])
+        return np.maximum(g[..., 0, :].real, 0.0)
     if n == 2:
-        a, d = gram[0, 0].real, gram[1, 1].real
-        b = gram[0, 1]
-        tr = a + d
-        disc = max(tr * tr - 4.0 * (a * d - (b.real * b.real + b.imag * b.imag)), 0.0)
-        sq = math.sqrt(disc)
-        return np.array([0.5 * (tr + sq), max(0.5 * (tr - sq), 0.0)])
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        a, d = g[..., 0, 0].real, g[..., 1, 1].real
+        mid, rad = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(g[..., 0, 1]))
+        return np.stack((np.maximum(mid - rad, 0.0), mid + rad), axis=-1)
+    return np.clip(np.linalg.eigvalsh(g), 0.0, None)
 
 
-def _branch_objective(sq: np.ndarray) -> float:
-    """Weight times marginal entropy of a branch with squared Schmidt vector sq."""
-    p = float(sq.sum())
-    if p <= 1e-300:
-        return 0.0
-    w = sq[sq > 0.0]
-    return float(-(w * np.log2(w)).sum() + p * math.log2(p))
+def _schmidt_sq(vecs: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Squared Schmidt coefficients (..., min(da, db)) of unnormalized vectors."""
+    m = _marginal(vecs, da, db)
+    return _gram_spectra(m @ _dag(m))
+
+
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    return x * np.log2(np.where(x > 0.0, x, 1.0))
+
+
+def _branch_objective(sq: np.ndarray) -> np.ndarray:
+    """Weight times marginal entropy of branches with squared Schmidt vectors sq."""
+    return -_xlog2x(sq).sum(axis=-1) + _xlog2x(sq.sum(axis=-1))
 
 
 def eof_pure(psi: PureState) -> float:
     """Entanglement of formation of a pure state: its marginal entropy."""
     if len(psi.dims) != 2:
         raise ValueError(f"expected a bipartite state, got dims {psi.dims}")
-    return _branch_objective(_schmidt_sq(psi.vec, *psi.dims))
+    return float(_branch_objective(_schmidt_sq(psi.vec, *psi.dims)))
 
 
 @dataclass(frozen=True)
@@ -175,35 +195,77 @@ class OneShotCostBounds:
     witness: Decomposition
 
 
-def _line_min(f, lo: float, hi: float, coarse: int, iters: int):
-    """Coarse grid scan followed by golden-section refinement.
+_ZOOM = 3    # a zoom grid has 2 * _ZOOM points, 1 / (_ZOOM + 1) of the last spacing apart
+_LEVELS = 9  # zoom grids per line search: a 9-point coarse spacing pi/16 ends at 7.5e-7 rad
+_OFFSETS = np.concatenate((np.arange(-_ZOOM, 0), np.arange(1, _ZOOM + 1)))
 
-    Works for scalar or tuple objectives (tuples compare lexicographically).
-    Returns the best (x, f(x)) among all evaluated points.
+
+def _line_search(line, grid: np.ndarray, size: int):
+    """Grid-zoom minimization of ``size`` line objectives at once.
+
+    ``line`` maps an (size, k) array of angles to (size, k) values.  The
+    coarse ``grid`` spans [-pi/4, pi/4], a full period (rotating a pair by
+    pi/2 only swaps its branches); each of the ``_LEVELS`` zoom grids then
+    fills the open interval between the incumbent's neighbours, in one
+    batched evaluation.  Returns the best angle and value found per line.
     """
-    xs = np.linspace(lo, hi, coarse)
-    vals = [f(x) for x in xs]
-    j = min(range(coarse), key=vals.__getitem__)
-    best_x, best_v = xs[j], vals[j]
-    a = xs[j - 1] if j > 0 else xs[0]
-    b = xs[j + 1] if j < coarse - 1 else xs[-1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        for x, v in ((x1, f1), (x2, f2)):
-            if v < best_v:
-                best_x, best_v = x, v
-    return best_x, best_v
+    lines = np.arange(size)
+    vals = line(np.broadcast_to(grid, (size, grid.size)))
+    j = vals.argmin(axis=1)
+    x, best = grid[j], vals[lines, j]
+    step = grid[1] - grid[0]
+    for _ in range(_LEVELS):
+        step /= _ZOOM + 1
+        t = x[:, None] + step * _OFFSETS
+        vals = line(t)
+        j = vals.argmin(axis=1)
+        won = vals[lines, j] < best
+        x = np.where(won, t[lines, j], x)
+        best = np.where(won, vals[lines, j], best)
+    return x, best
+
+
+def _rotate(ra: np.ndarray, rb: np.ndarray, t: np.ndarray, phase: complex):
+    """Givens rotation of branch rows (R, D) by angles t (R,) in direction ``phase``."""
+    c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+    return c * ra + (s * phase) * rb, (-s * np.conj(phase)) * ra + c * rb
+
+
+def _tails(sq: np.ndarray) -> np.ndarray:
+    """Removal-cost tails (..., 2, n+1) of branch spectra (..., n).
+
+    Row 0 uses rank-clamped spectra (dust below ``RANK_RTOL`` of the branch
+    weight is zeroed, making support decisions exact); row 1 keeps the raw
+    spectra and provides a clamp-free progress signal for the tiebreak, so
+    the search cannot chase clamp leakage.
+    """
+    clamped = np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
+    atoms = np.moveaxis(np.stack((clamped, sq), axis=-2), -1, 0)
+    return np.moveaxis(_column_tails(atoms), 0, -1)
+
+
+def _smooth_support(total: np.ndarray, delta: float):
+    """(support, excess) of branch-summed tails (..., 2, n+1) at budget delta.
+
+    ``support`` is the exact smooth support of the flagged ensemble;
+    ``excess`` is the raw mass beyond ``delta`` that one atom fewer would
+    cost, which lies in [0, 1] (0 at support 0).
+    """
+    support = _smallest_support(np.moveaxis(total[..., 0, :], -1, 0), delta)
+    below = np.take_along_axis(total[..., 1, :], np.maximum(support - 1, 0)[..., None],
+                               axis=-1)[..., 0]
+    return support, np.where(support > 0, below - delta, 0.0)
+
+
+def _smooth_score(total: np.ndarray, delta: float) -> np.ndarray:
+    """``2 support + excess``, which orders (support, excess) lexicographically
+    because the excess lies in [0, 1]."""
+    support, excess = _smooth_support(total, delta)
+    return 2.0 * support + excess
+
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # branch a, branch b of a rotated pair
+_EOF = (_branch_objective, lambda total: total)  # average branch entropy
 
 
 class _EnsembleSearch:
@@ -213,7 +275,8 @@ class _EnsembleSearch:
     on the spectral ensemble, with unnormalized branch vectors
     ``row_i = sum_j U_ij sqrt(l_j) e_j``.  Local moves are two-branch Givens
     rotations (a real and an imaginary one per pair); branch phases are gauge
-    and not searched.
+    and not searched.  Restarts are stacked as (R, m, D) arrays and searched
+    together by one driver, :meth:`descend`, for both objectives.
     """
 
     def __init__(self, rho: DensityMatrix, max_items: int | None):
@@ -235,185 +298,92 @@ class _EnsembleSearch:
                 f"max_items must lie in [{self.rank}, {self.rank * self.rank}]")
         self.m = int(max_items)
 
-    def start_rows(self, restart: int, seed: int, stream: int = 0) -> np.ndarray:
-        """Restart 0 is the spectral ensemble itself; later starts are Haar."""
-        if restart == 0:
-            u = np.zeros((self.m, self.rank), dtype=complex)
-            u[:self.rank, :self.rank] = np.eye(self.rank)
-        else:
-            u = haar_isometry(self.m, self.rank,
-                              np.random.default_rng((seed, stream, restart)))
+    def start_rows(self, restarts: int, seed: int, stream: int = 0) -> np.ndarray:
+        """Rows (restarts, m, D): restart 0 is the spectral ensemble itself,
+        restart i > 0 a Haar isometry from the stream (seed, stream, i)."""
+        u = np.zeros((restarts, self.m, self.rank), dtype=complex)
+        u[0, :self.rank] = np.eye(self.rank)
+        for i in range(1, restarts):
+            u[i] = haar_isometry(self.m, self.rank, np.random.default_rng((seed, stream, i)))
         return u @ self.base
 
-    def _rotated(self, ra, rb, theta: float, phase: complex):
-        c, s = math.cos(theta), math.sin(theta)
-        return c * ra + (s * phase) * rb, (-s * np.conj(phase)) * ra + c * rb
+    def parts(self, rows: np.ndarray, part) -> np.ndarray:
+        """Per-branch objective parts of rows (..., m, D), from their spectra."""
+        return part(_schmidt_sq(rows, self.da, self.db))
 
-    # -- average-entropy objective ------------------------------------------
+    def _line(self, rows: np.ndarray, parts: np.ndarray, a: int, b: int,
+              phase: complex, objective):
+        """Score of every restart along the rotation of its branches a and b.
 
-    def _g(self, row: np.ndarray) -> float:
-        return _branch_objective(_schmidt_sq(row, self.da, self.db))
-
-    def eof_value(self, rows: np.ndarray) -> float:
-        return float(sum(self._g(r) for r in rows))
-
-    def _pair_grams(self, ra: np.ndarray, rb: np.ndarray):
-        """Gram pack of a branch pair on the smaller marginal.
-
-        A rotated pair has marginal grams that are quadratic in (cos t, sin t)
-        with coefficients A, B and a cross term built from X, so a whole line
-        search costs O(small^2) per angle instead of O(D).
+        A rotated pair has marginal grams quadratic in (cos t, sin t), with
+        coefficients from the gram pack (A, B, H): ``c^2 A + s^2 B + cs H``
+        and ``s^2 A + c^2 B - cs H``.  So one evaluation over all restarts
+        and angles costs one small matrix product and one batched spectrum.
+        ``parts`` holds the per-branch parts of ``rows``.
         """
-        ma = ra.reshape(self.da, self.db)
-        mb = rb.reshape(self.da, self.db)
-        if self.da <= self.db:
-            return ma @ ma.conj().T, mb @ mb.conj().T, ma @ mb.conj().T
-        return ma.conj().T @ ma, mb.conj().T @ mb, ma.conj().T @ mb
+        part, score = objective
+        rest = parts[:, [i for i in range(self.m) if i != a and i != b]].sum(axis=1)
+        ma = _marginal(rows[:, a], self.da, self.db)
+        mb = _marginal(rows[:, b], self.da, self.db)
+        ga, gb, x = ma @ _dag(ma), mb @ _dag(mb), np.conj(phase) * (ma @ _dag(mb))
+        mean = (0.5 * (ga + gb))[:, None, None]
+        # the pair's grams are mean +- (cos 2t (A - B) + sin 2t H) / 2
+        arms = np.stack((0.5 * (ga - gb), 0.5 * (x + _dag(x))), axis=1)
+        arms = arms.reshape(len(rows), 2, -1).view(np.float64)
+        shape = ga.shape[1:]
 
-    def _cross_term(self, x: np.ndarray, phase: complex) -> np.ndarray:
-        z = np.conj(phase) * x if self.da <= self.db else phase * x
-        return z + z.conj().T
+        def line(t):
+            # exp(2it) viewed as real pairs (cos 2t, sin 2t)
+            trig = np.exp(2j * t).view(np.float64).reshape(t.shape + (2,))
+            arm = (trig @ arms).view(np.complex128).reshape(t.shape + (1,) + shape)
+            spec = _gram_spectra(mean + _SIGNS * arm)
+            return score(rest[:, None] + part(spec).sum(axis=2))
 
-    def _make_line(self, a_g: np.ndarray, b_g: np.ndarray, h: np.ndarray):
-        """Objective along the rotation angle, from the gram pack."""
-        if a_g.shape[0] == 2:
-            a11, a22 = a_g[0, 0].real, a_g[1, 1].real
-            a12r, a12i = a_g[0, 1].real, a_g[0, 1].imag
-            b11, b22 = b_g[0, 0].real, b_g[1, 1].real
-            b12r, b12i = b_g[0, 1].real, b_g[0, 1].imag
-            h11, h22 = h[0, 0].real, h[1, 1].real
-            h12r, h12i = h[0, 1].real, h[0, 1].imag
-            log2 = math.log2
-            sqrt = math.sqrt
+        return line
 
-            def ent2(g11, g22, gr, gi):
-                tr = g11 + g22
-                if tr <= 1e-300:
-                    return 0.0
-                disc = tr * tr - 4.0 * (g11 * g22 - gr * gr - gi * gi)
-                rt = sqrt(disc) if disc > 0.0 else 0.0
-                w1, w2 = 0.5 * (tr + rt), 0.5 * (tr - rt)
-                acc = tr * log2(tr)
-                if w1 > 0.0:
-                    acc -= w1 * log2(w1)
-                if w2 > 0.0:
-                    acc -= w2 * log2(w2)
-                return acc
+    def descend(self, rows: np.ndarray, objective, sweeps: int,
+                coarse: int = 9) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate descent of every restart in ``rows`` (R, m, D) at once.
 
-            def f2(t):
-                c, s = math.cos(t), math.sin(t)
-                c2, s2, cs = c * c, s * s, c * s
-                return (ent2(c2 * a11 + s2 * b11 + cs * h11,
-                             c2 * a22 + s2 * b22 + cs * h22,
-                             c2 * a12r + s2 * b12r + cs * h12r,
-                             c2 * a12i + s2 * b12i + cs * h12i)
-                        + ent2(s2 * a11 + c2 * b11 - cs * h11,
-                               s2 * a22 + c2 * b22 - cs * h22,
-                               s2 * a12r + c2 * b12r - cs * h12r,
-                               s2 * a12i + c2 * b12i - cs * h12i))
-
-            return f2
-
-        def fn(t):
-            c, s = math.cos(t), math.sin(t)
-            c2, s2, cs = c * c, s * s, c * s
-            g1 = c2 * a_g + s2 * b_g + cs * h
-            g2 = s2 * a_g + c2 * b_g - cs * h
-            return (_branch_objective(np.clip(np.linalg.eigvalsh(g1), 0.0, None))
-                    + _branch_objective(np.clip(np.linalg.eigvalsh(g2), 0.0, None)))
-
-        return fn
-
-    def local_min_eof(self, rows: np.ndarray, sweeps: int,
-                      coarse: int = 9, iters: int = 18) -> tuple[float, np.ndarray]:
-        if min(self.da, self.db) == 1:
-            return 0.0, rows  # every branch marginal is pure
-        g = np.array([self._g(r) for r in rows])
-        for _ in range(max(1, sweeps)):
-            improved = 0.0
-            for a in range(self.m):
-                for b in range(a + 1, self.m):
-                    pack = self._pair_grams(rows[a], rows[b])
-                    for phase in (1.0 + 0.0j, 1.0j):
-                        f = self._make_line(pack[0], pack[1],
-                                            self._cross_term(pack[2], phase))
-                        cur = g[a] + g[b]
-                        x, val = _line_min(f, -np.pi / 4, np.pi / 4, coarse, iters)
-                        if val < cur - 1e-13:
-                            na, nb = self._rotated(rows[a], rows[b], x, phase)
-                            rows[a], rows[b] = na, nb
-                            g[a], g[b] = self._g(na), self._g(nb)
-                            improved += cur - val
-                            pack = self._pair_grams(rows[a], rows[b])
-            if improved <= 1e-12:
-                break
-        return float(g.sum()), rows
-
-    # -- smooth max-entropy objective ---------------------------------------
-
-    def _tail(self, row: np.ndarray) -> np.ndarray:
-        """Removal-cost profiles of one branch column of the eigenvalue table.
-
-        Row 0..da of column 0 uses rank-clamped eigenvalues (dust below the
-        rank threshold is zeroed, making support decisions exact); column 1
-        keeps the raw eigenvalues and provides a clamp-free progress signal
-        for the tiebreak, so the search cannot chase clamp leakage.
+        ``objective`` is a pair (part, score): ``part`` maps branch spectra
+        (..., n) to per-branch parts that add over branches, and ``score``
+        maps summed parts to the value to minimize.  A sweep visits every
+        branch pair with a real and an imaginary rotation, each a batched
+        grid-zoom line search; a move is kept when it lowers its restart's
+        score by more than 1e-13, and the moved branches' parts are then
+        recomputed from the rotated rows.  A restart drops out after the
+        first sweep that lowers its score by no more than 1e-12.  Returns the
+        final scores (R,) and rows.
         """
-        sq = _schmidt_sq(row, self.da, self.db)
-        srt = np.zeros(self.da)
-        srt[:sq.size] = np.sort(sq)[::-1][:self.da]
-        clamped = np.where(srt > RANK_RTOL * srt.sum(), srt, 0.0)
-        tail = np.zeros((self.da + 1, 2))
-        tail[:self.da, 0] = clamped[::-1].cumsum()[::-1]
-        tail[:self.da, 1] = srt[::-1].cumsum()[::-1]
-        return tail
-
-    @staticmethod
-    def _score(total: np.ndarray, delta: float) -> tuple[float, float]:
-        """(smooth value, raw residual cost to the next support level)."""
-        s = int(np.argmax(total[:, 0] <= delta))
-        value = math.log2(s) if s > 0 else float("-inf")
-        excess = float(total[s - 1, 1] - delta) if s >= 1 else 0.0
-        return value, excess
-
-    @staticmethod
-    def _better(x, y) -> bool:
-        return x[0] < y[0] - 1e-12 or (x[0] < y[0] + 1e-12 and x[1] < y[1] - 1e-13)
-
-    def smooth_value(self, rows: np.ndarray, delta: float) -> float:
-        total = sum(self._tail(r) for r in rows)
-        return self._score(total, delta)[0]
-
-    def local_min_smooth(self, rows: np.ndarray, delta: float, sweeps: int,
-                         coarse: int = 15, iters: int = 16):
-        tails = np.stack([self._tail(r) for r in rows], axis=2)
-        total = tails.sum(axis=2)
-        cur = self._score(total, delta)
+        part, score = objective
+        grid = np.linspace(-np.pi / 4, np.pi / 4, coarse)
+        parts = self.parts(rows, part)
+        cur = score(parts.sum(axis=1))
+        # with a one-dimensional side every branch marginal is pure
+        live = np.arange(len(rows) if min(self.da, self.db) > 1 else 0)
         for _ in range(max(1, sweeps)):
-            accepted = False
-            for a in range(self.m):
-                for b in range(a + 1, self.m):
-                    for phase in (1.0 + 0.0j, 1.0j):
-                        ra, rb = rows[a], rows[b]
-                        rest = total - tails[:, :, a] - tails[:, :, b]
-
-                        def f(t):
-                            na, nb = self._rotated(ra, rb, t, phase)
-                            return self._score(rest + self._tail(na) + self._tail(nb),
-                                               delta)
-
-                        x, val = _line_min(f, -np.pi / 4, np.pi / 4, coarse, iters)
-                        if self._better(val, cur):
-                            na, nb = self._rotated(ra, rb, x, phase)
-                            rows[a], rows[b] = na, nb
-                            tails[:, :, a] = self._tail(na)
-                            tails[:, :, b] = self._tail(nb)
-                            total = rest + tails[:, :, a] + tails[:, :, b]
-                            cur = self._score(total, delta)
-                            accepted = True
-            if not accepted:
+            if live.size == 0:
                 break
+            r, p, c = rows[live], parts[live], cur[live]
+            start = c.copy()
+            for a, b in itertools.combinations(range(self.m), 2):
+                for phase in (1.0 + 0.0j, 1.0j):
+                    x, val = _line_search(self._line(r, p, a, b, phase, objective),
+                                          grid, len(r))
+                    acc = np.flatnonzero(val < c - 1e-13)
+                    if acc.size:
+                        na, nb = _rotate(r[acc, a], r[acc, b], x[acc], phase)
+                        r[acc, a], r[acc, b] = na, nb
+                        p[acc, a], p[acc, b] = self.parts(na, part), self.parts(nb, part)
+                        c[acc] = score(p[acc].sum(axis=1))
+            rows[live], parts[live], cur[live] = r, p, c
+            live = live[start - c > 1e-12]
         return cur, rows
+
+    def smooth_value(self, rows: np.ndarray, delta: float) -> list[float]:
+        """Smooth conditional max-entropy of each decomposition in ``rows``."""
+        support, _ = _smooth_support(self.parts(rows, _tails).sum(axis=-3), delta)
+        return [math.log2(s) if s > 0 else -math.inf for s in support.tolist()]
 
     def decomposition(self, rows: np.ndarray) -> Decomposition:
         items = []
@@ -431,33 +401,26 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     """Upper bound on the entanglement of formation by decomposition search.
 
     Seeded random-restart coordinate descent over Givens rotations of the
-    spectral ensemble: ``sweeps`` coordinate sweeps per restart, then the
-    best few candidates get polished with further sweeps until they stop
-    improving.  Every evaluated decomposition is feasible, so the returned
-    value can never undershoot the true infimum.  ``converged`` records
-    whether the final restart and polish improved the incumbent by no more
-    than ``tol``.  Deterministic for fixed ``seed``; restart streams are
-    derived from (seed, restart index).
+    spectral ensemble.  All ``restarts`` run together for up to ``sweeps``
+    coordinate sweeps, then the best three are polished together with up to
+    24 further sweeps; each stops once a sweep no longer improves it.  Every
+    evaluated decomposition is feasible, so the returned value can never
+    undershoot the true infimum.  ``converged`` records whether the polished
+    best undercuts the best of restarts 0..R-2 by no more than ``tol``.
+    Deterministic for fixed ``seed``; restart streams are derived from
+    (seed, restart index).
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    outcomes = []
-    prev_best = math.inf
-    for i in range(restarts):
-        if i == restarts - 1:
-            prev_best = min((v for v, _ in outcomes), default=math.inf)
-        rows = search.start_rows(i, seed)
-        outcomes.append(search.local_min_eof(rows, sweeps))
-    outcomes.sort(key=lambda vr: vr[0])
-    best_val, best_rows = outcomes[0]
-    for _, rows in outcomes[:3]:
-        val, rows = search.local_min_eof(rows, sweeps=24)
-        if val < best_val:
-            best_val, best_rows = val, rows
-    decomp = search.decomposition(best_rows)
+    vals, rows = search.descend(search.start_rows(restarts, seed), _EOF, sweeps)
+    prev_best = vals[:-1].min(initial=math.inf)
+    top = np.argsort(vals, kind="stable")[:3]
+    vals, rows = search.descend(rows[top], _EOF, sweeps=24)
+    best = int(np.argmin(vals))
+    decomp = search.decomposition(rows[best])
     value = eof_cq_conditional(decomp)
-    converged = restarts >= 2 and (prev_best - best_val) <= tol
+    converged = restarts >= 2 and bool(prev_best - vals[best] <= tol)
     return EofResult(value, decomp, restarts, converged)
 
 
@@ -469,7 +432,9 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     Searches decompositions minimizing the exact smooth conditional
     max-entropy of the branch ensemble, once per smoothing budget: ``eps/2``
     for the achievable (upper) side and ``2 sqrt(eps)`` for the converse
-    (lower) side.  Both bounds are evaluated on the union of all candidate
+    (lower) side.  The restarts of each budget run together, scored by
+    (support, excess) with the excess as the tiebreak within a support
+    level.  Both bounds are evaluated on the union of all candidate
     decompositions, and the larger budget can only smooth further, so
     ``lower <= upper`` holds by construction.
     """
@@ -478,16 +443,13 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     search = _EnsembleSearch(rho, max_items)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
-    candidates = []
+    found = []
     for stream, delta in enumerate((delta_up, delta_low)):
-        for i in range(max(1, restarts)):
-            rows = search.start_rows(i, seed, stream)
-            _, rows = search.local_min_smooth(rows, delta, sweeps)
-            candidates.append(rows)
-    upper, lower, witness_rows = math.inf, math.inf, None
-    for rows in candidates:
-        vu = search.smooth_value(rows, delta_up)
-        lower = min(lower, search.smooth_value(rows, delta_low))
-        if vu < upper:
-            upper, witness_rows = vu, rows
-    return OneShotCostBounds(lower, upper, search.decomposition(witness_rows))
+        rows = search.start_rows(max(1, restarts), seed, stream)
+        found.append(search.descend(rows, (_tails, partial(_smooth_score, delta=delta)), sweeps,
+                                    coarse=15)[1])
+    rows = np.concatenate(found)
+    upper = search.smooth_value(rows, delta_up)
+    best = upper.index(min(upper))
+    return OneShotCostBounds(min(search.smooth_value(rows, delta_low)), upper[best],
+                             search.decomposition(rows[best]))

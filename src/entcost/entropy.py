@@ -164,19 +164,22 @@ def h0_cond_cq(s: CQState) -> float:
 
 
 def _column_tails(cols: np.ndarray) -> np.ndarray:
-    """tails[s, y] = mass removed from column y when only its s largest atoms stay."""
-    srt = np.sort(cols, axis=0)[::-1, :]
-    nx = cols.shape[0]
-    tails = np.zeros((nx + 1, cols.shape[1]))
-    tails[:nx, :] = srt[::-1, :].cumsum(axis=0)[::-1, :]
+    """tails[s, ...] = mass removed from a column when only its s largest atoms stay.
+
+    Atoms run along axis 0; every further axis indexes columns or batches.
+    """
+    tails = np.zeros((cols.shape[0] + 1,) + cols.shape[1:])
+    tails[:-1] = np.sort(cols, axis=0).cumsum(axis=0)[::-1]
     return tails
 
 
-def _smallest_support(cols: np.ndarray, eps: float) -> int:
-    """Smallest per-column support ceiling reachable within L1 budget eps."""
-    total = _column_tails(cols).sum(axis=1)
-    feasible = np.nonzero(total <= eps)[0]
-    return int(feasible[0])
+def _smallest_support(tails: np.ndarray, eps: float) -> np.ndarray:
+    """Smallest support ceiling s whose summed removal cost ``tails[s]`` fits eps.
+
+    ``tails`` is :func:`_column_tails` summed over the columns; any axes after
+    the first are batches, and the result has their shape.
+    """
+    return np.argmax(tails <= eps, axis=0)
 
 
 def classical_h0_cond(p: ClassicalJoint) -> float:
@@ -203,7 +206,7 @@ def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
     """
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
-    s = _smallest_support(p.weights, eps)
+    s = int(_smallest_support(_column_tails(p.weights).sum(axis=1), eps))
     if s == 0:
         return float("-inf")
     return float(math.log2(s))
@@ -228,7 +231,7 @@ def smooth_h0_cond_cq(s: CQState, eps: float) -> float:
     """
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
-    sup = _smallest_support(_cq_columns(s), eps)
+    sup = int(_smallest_support(_column_tails(_cq_columns(s)).sum(axis=1), eps))
     if sup == 0:
         return float("-inf")
     return float(math.log2(sup))

@@ -154,6 +154,17 @@ def test_strong_converse_identity(capsys):
     assert json.loads(out)["error_lower_bound"] == 1.0 - 2.0 ** -10
 
 
+def test_strong_converse_identity_infinite_rate_no_uses(capsys):
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    code, out, _ = invoke(capsys, "strong-converse", "--identity",
+                          "--rate", "inf", "--n", "0")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["error_lower_bound"] == 0.0
+
+
 def test_strong_converse_channel(capsys):
     code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH,
                           "--delta1", "1.0", "--delta2", "1.5", "--n", "10000")

@@ -148,6 +148,13 @@ def test_identity_error_bound():
         identity_error_bound(0.9, 4)
 
 
+def test_identity_error_bound_no_uses():
+    # 1 - 2^0 = 0 at every rate, never 0 * inf = NaN
+    for rate in (1.0, 2.0, math.inf):
+        assert identity_error_bound(rate, 0) == 0.0
+    assert identity_error_bound(math.inf, 1) == 1.0
+
+
 def test_simulation_error_value():
     want = 8.0 * 2.0 ** (-1.0 / (8.0 * math.log2(5.0) ** 2))
     assert simulation_error(1, 1.0, 2, 2) == pytest.approx(want, rel=1e-12)

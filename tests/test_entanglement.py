@@ -1,5 +1,6 @@
 """Entanglement measure tests: closed forms, decomposition search, bounds."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from entcost.entanglement import (
 )
 from entcost.entropy import binary_h, smooth_h0_cond_cq
 from entcost.linalg import (
+    RANK_RTOL,
     DensityMatrix,
     PureState,
+    haar_isometry,
     purified_distance,
     random_density_matrix,
     random_pure_state,
@@ -184,6 +187,20 @@ def test_eof_numeric_matches_closed_form_rank2():
         assert -1e-9 <= gap <= 1e-3
 
 
+def test_eof_numeric_exact_on_lifted_qutrit_states():
+    # E_F is invariant under local isometries, so a two-qubit state lifted to
+    # 3x3 keeps its Wootters value: an exact oracle for the search call that
+    # ec1_general makes, on 3x3 marginals (the batched eigvalsh branch)
+    for i in range(3):
+        rng = np.random.default_rng((7, i))
+        small = random_density_matrix((2, 2), 2, rng)
+        lift = np.kron(haar_isometry(3, 2, rng), haar_isometry(3, 2, rng))
+        rho = DensityMatrix((3, 3), lift @ small.mat @ lift.conj().T)
+        res = eof_numeric(rho, restarts=8, seed=i, sweeps=3)
+        gap = res.value - eof_2q(small)
+        assert -1e-9 <= gap <= 1e-6, (i, gap)
+
+
 def test_eof_numeric_upper_bounds_closed_form():
     rng = np.random.default_rng(17)
     for i in range(5):
@@ -262,19 +279,55 @@ def test_one_shot_eps_range():
         one_shot_cost_bounds(bell_dm(), 1.5)
 
 
-def test_line_objective_matches_direct_rotation():
-    # the precomputed gram line must agree with rotating the rows outright,
-    # in both marginal orientations and for both phase directions
-    from entcost.entanglement import _EnsembleSearch
+def smooth_score_reference(sq, delta):
+    """(support, excess) of one decomposition's branch spectra (m, n), branch by
+    branch: rank-clamped and raw tails of every branch, summed."""
+    n = sq.shape[1]
+    clamped_total, raw_total = np.zeros(n + 1), np.zeros(n + 1)
+    for w in sq:
+        srt = np.sort(w)[::-1]
+        clamped = np.where(srt > RANK_RTOL * srt.sum(), srt, 0.0)
+        for s in range(n):
+            clamped_total[s] += clamped[s:].sum()
+            raw_total[s] += srt[s:].sum()
+    s = next(s for s in range(n + 1) if clamped_total[s] <= delta)
+    return s, (raw_total[s - 1] - delta if s else 0.0)
 
+
+def test_line_objective_matches_direct_rotation():
+    # the batched gram-pack line must agree with rotating every restart's rows
+    # outright, in both marginal orientations, for both phase directions and
+    # for both objectives
+    from entcost.entanglement import _EOF, _EnsembleSearch, _smooth_score, _tails
+
+    angles = np.linspace(-np.pi / 4, np.pi / 4, 9)
+    delta = 0.15
+    smooth_score = functools.partial(_smooth_score, delta=delta)
+    supports = set()
     for dims in ((2, 3), (3, 2), (2, 2), (4, 3)):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(dims, 3, rng)
         s = _EnsembleSearch(rho, None)
-        rows = s.start_rows(1, 9)
+        rows = s.start_rows(4, 9)[1:]  # three Haar restarts
+        t = np.tile(angles, (len(rows), 1))
         for phase in (1.0 + 0j, 1j):
-            pack = s._pair_grams(rows[0], rows[1])
-            f = s._make_line(pack[0], pack[1], s._cross_term(pack[2], phase))
-            for t in np.linspace(-np.pi / 4, np.pi / 4, 9):
-                na, nb = s._rotated(rows[0], rows[1], t, phase)
-                assert f(t) == pytest.approx(s._g(na) + s._g(nb), abs=1e-12)
+            eof_vals = s._line(rows, s.parts(rows, _EOF[0]), 0, 1, phase, _EOF)(t)
+            smooth_vals = s._line(rows, s.parts(rows, _tails), 0, 1, phase,
+                                  (_tails, smooth_score))(t)
+            for i, row in enumerate(rows):
+                for k, theta in enumerate(angles):
+                    c, sn = math.cos(theta), math.sin(theta)
+                    rot = row.copy()
+                    rot[0] = c * row[0] + sn * phase * row[1]
+                    rot[1] = -sn * np.conj(phase) * row[0] + c * row[1]
+                    sq = np.linalg.svd(rot.reshape(-1, *dims), compute_uv=False) ** 2
+                    p = sq.sum(axis=1)
+                    direct = sum(-(w[w > 0] * np.log2(w[w > 0])).sum() for w in sq) \
+                        + (p * np.log2(p)).sum()
+                    assert eof_vals[i, k] == pytest.approx(direct, abs=1e-12)
+                    support, excess = smooth_score_reference(sq, delta)
+                    got = math.floor(smooth_vals[i, k] / 2)
+                    assert got == support
+                    assert smooth_vals[i, k] - 2 * got == pytest.approx(excess, abs=1e-12)
+                    supports.add(support)
+    assert len(supports) > 1
