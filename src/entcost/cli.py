@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-items", type=int, default=None,
                    help="decomposition size (default min(rank^2, 2 rank))")
     p.add_argument("--tol", type=_float_arg, default=1e-9,
-                   help="convergence tolerance across the final restart")
+                   help="'converged' when two restarts end this close to the best")
     add_seeded(p, 20)
     p.set_defaults(func=_cmd_eof)
 

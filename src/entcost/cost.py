@@ -157,9 +157,9 @@ def dephasing_curves(grid: Iterable[float]) -> list[CurveSample]:
 
     Per grid point p: the forward-assisted quantum capacity ``1 - h(p)``, the
     closed-form single-letter cost bound ``h(1/2 + sqrt(p(1-p)))``, and the
-    entanglement-assisted quantum capacity ``1 - h(p/2)/2``.  The bound
-    q_arrow <= ec1 is checked on every row; a violation raises, because it
-    would contradict a theorem.
+    entanglement-assisted quantum capacity ``1 - h(p)/2``, half of
+    ``log2 d + S(B) - S(AB)`` on the Choi state.  The bound q_arrow <= ec1 is
+    checked on every row; a violation raises, as it would contradict a theorem.
 
     The flip probability must lie in [0, 1/2]: dephasing at 1 - p is the
     same channel up to a Z rotation, and the capacity expressions are only
@@ -172,7 +172,7 @@ def dephasing_curves(grid: Iterable[float]) -> list[CurveSample]:
             raise ValueError(f"dephasing flip probability {p} outside [0, 1/2]")
         q_arrow = 1.0 - binary_h(p)
         ec1 = binary_h(0.5 + math.sqrt(p * (1.0 - p)))
-        q_e = 1.0 - 0.5 * binary_h(0.5 * p)
+        q_e = 1.0 - 0.5 * binary_h(p)
         if q_arrow > ec1 + 1e-12:
             raise RuntimeError(
                 f"capacity bound q_arrow <= ec1 violated at p={p}: {q_arrow}, {ec1}")

@@ -122,8 +122,8 @@ def test_dephasing_curves_endpoints():
     last = rows[-1].values
     assert last["q_arrow"] == pytest.approx(0.0, abs=1e-12)
     assert last["ec1"] == pytest.approx(0.0, abs=1e-12)
-    assert last["q_e"] == pytest.approx(1.0 - 0.5 * binary_h(0.25), abs=1e-12)
-    assert last["q_e"] == pytest.approx(0.594361, abs=1e-6)
+    assert last["q_e"] == pytest.approx(1.0 - 0.5 * binary_h(0.5), abs=1e-12)
+    assert last["q_e"] == pytest.approx(0.5, abs=1e-12)
     # the bound attains its maximum 1 only at the noiseless end
     assert max(r.values["ec1"] for r in rows) == 1.0
 
@@ -131,7 +131,13 @@ def test_dephasing_curves_endpoints():
 def test_dephasing_curves_sandwich_everywhere():
     for row in dephasing_curves(np.linspace(0.0, 0.5, 101)):
         assert row.values["q_arrow"] <= row.values["ec1"] + 1e-12
-        assert row.values["ec1"] <= row.values["q_e"] + 1e-12
+        assert row.values["q_arrow"] <= row.values["q_e"] + 1e-12
+        # half of log2 d + S(B) - S(AB) on the Choi state J, output B first
+        j = choi(dephasing(row.param)).state.mat
+        out = np.einsum("abcb->ac", j.reshape(2, 2, 2, 2))
+        s_b, s_ab = (-sum(w * math.log2(w) for w in np.linalg.eigvalsh(m) if w > 1e-15)
+                     for m in (out, j))
+        assert row.values["q_e"] == pytest.approx((1.0 + s_b - s_ab) / 2, abs=1e-12)
 
 
 def test_dephasing_curves_rejects_out_of_range():

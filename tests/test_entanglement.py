@@ -1,6 +1,5 @@
 """Entanglement measure tests: closed forms, decomposition search, bounds."""
 
-import functools
 import math
 
 import numpy as np
@@ -171,11 +170,29 @@ def test_eof_numeric_pure_state():
     res = eof_numeric(psi.to_density_matrix(), restarts=3, seed=0)
     assert res.value == pytest.approx(eof_pure(psi), abs=1e-9)
     assert res.restarts_used == 3
+    assert res.converged  # every restart ends at the single decomposition
+    # a lone restart has nothing to agree with
+    assert not eof_numeric(psi.to_density_matrix(), restarts=1, seed=0).converged
 
 
 def test_eof_numeric_separable_mixture():
     res = eof_numeric(cc_state(), restarts=8, seed=0)
     assert res.value <= 1e-6
+
+
+def test_eof_numeric_separable_qutrit_mixture():
+    # E_F = 0, reached only where every branch turns product and the
+    # gradient's log2(sigma / p) diverges on the marginals' kernels
+    rng = np.random.default_rng(37)
+    mat = np.zeros((9, 9), dtype=complex)
+    for w in (0.5, 0.3, 0.2):
+        v = np.kron(random_pure_state((3,), rng).vec, random_pure_state((3,), rng).vec)
+        mat += w * np.outer(v, v.conj())
+    rho = DensityMatrix((3, 3), mat)
+    assert np.linalg.matrix_rank(rho.mat) == 3
+    res = eof_numeric(rho, restarts=4, seed=0)
+    assert math.isfinite(res.value)
+    assert 0.0 <= res.value <= 1e-9
 
 
 def test_eof_numeric_matches_closed_form_rank2():
@@ -190,15 +207,15 @@ def test_eof_numeric_matches_closed_form_rank2():
 def test_eof_numeric_exact_on_lifted_qutrit_states():
     # E_F is invariant under local isometries, so a two-qubit state lifted to
     # 3x3 keeps its Wootters value: an exact oracle for the search call that
-    # ec1_general makes, on 3x3 marginals (the batched eigvalsh branch)
-    for i in range(3):
+    # ec1_general makes, on 3x3 marginals
+    for i in range(8):
         rng = np.random.default_rng((7, i))
         small = random_density_matrix((2, 2), 2, rng)
         lift = np.kron(haar_isometry(3, 2, rng), haar_isometry(3, 2, rng))
         rho = DensityMatrix((3, 3), lift @ small.mat @ lift.conj().T)
         res = eof_numeric(rho, restarts=8, seed=i, sweeps=3)
         gap = res.value - eof_2q(small)
-        assert -1e-9 <= gap <= 1e-6, (i, gap)
+        assert -1e-9 <= gap <= 1e-9, (i, gap)
 
 
 def test_eof_numeric_upper_bounds_closed_form():
@@ -296,24 +313,20 @@ def smooth_score_reference(sq, delta):
 
 def test_line_objective_matches_direct_rotation():
     # the batched gram-pack line must agree with rotating every restart's rows
-    # outright, in both marginal orientations, for both phase directions and
-    # for both objectives
-    from entcost.entanglement import _EOF, _EnsembleSearch, _smooth_score, _tails
+    # outright, in both marginal orientations and for both phase directions
+    from entcost.entanglement import _EnsembleSearch
 
     angles = np.linspace(-np.pi / 4, np.pi / 4, 9)
     delta = 0.15
-    smooth_score = functools.partial(_smooth_score, delta=delta)
     supports = set()
     for dims in ((2, 3), (3, 2), (2, 2), (4, 3)):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(dims, 3, rng)
         s = _EnsembleSearch(rho, None)
-        rows = s.start_rows(4, 9)[1:]  # three Haar restarts
+        rows = s.start(4, 9)[1:] @ s.base  # three Haar restarts
         t = np.tile(angles, (len(rows), 1))
         for phase in (1.0 + 0j, 1j):
-            eof_vals = s._line(rows, s.parts(rows, _EOF[0]), 0, 1, phase, _EOF)(t)
-            smooth_vals = s._line(rows, s.parts(rows, _tails), 0, 1, phase,
-                                  (_tails, smooth_score))(t)
+            vals = s._line(rows, s.tails(rows), 0, 1, phase, delta)(t)
             for i, row in enumerate(rows):
                 for k, theta in enumerate(angles):
                     c, sn = math.cos(theta), math.sin(theta)
@@ -321,13 +334,47 @@ def test_line_objective_matches_direct_rotation():
                     rot[0] = c * row[0] + sn * phase * row[1]
                     rot[1] = -sn * np.conj(phase) * row[0] + c * row[1]
                     sq = np.linalg.svd(rot.reshape(-1, *dims), compute_uv=False) ** 2
-                    p = sq.sum(axis=1)
-                    direct = sum(-(w[w > 0] * np.log2(w[w > 0])).sum() for w in sq) \
-                        + (p * np.log2(p)).sum()
-                    assert eof_vals[i, k] == pytest.approx(direct, abs=1e-12)
                     support, excess = smooth_score_reference(sq, delta)
-                    got = math.floor(smooth_vals[i, k] / 2)
+                    got = math.floor(vals[i, k] / 2)
                     assert got == support
-                    assert smooth_vals[i, k] - 2 * got == pytest.approx(excess, abs=1e-12)
+                    assert vals[i, k] - 2 * got == pytest.approx(excess, abs=1e-12)
                     supports.add(support)
     assert len(supports) > 1
+
+
+def average_entropy(rows, dims):
+    """Average branch entropy of unnormalized rows (m, D), from an SVD."""
+    sq = np.linalg.svd(rows.reshape(-1, *dims), compute_uv=False) ** 2
+    p = sq.sum(axis=1)
+    return sum(-(w[w > 0] * np.log2(w[w > 0])).sum() for w in sq) + (p * np.log2(p)).sum()
+
+
+def test_eof_gradient_matches_finite_differences():
+    # dF(W(t))/dt = 2 Re tr(g^H xi) at t = 0 along W(t) = polar(W + t xi) for
+    # tangent xi, with F recomputed from the rows by an SVD; both marginal
+    # orientations, (2, 3) and (3, 2), and smaller sides of 2 and 3
+    from entcost.entanglement import _EnsembleSearch
+
+    def polar(a):
+        u, _, vh = np.linalg.svd(a)
+        return u[:, :a.shape[1]] @ vh
+
+    h = 1e-5
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        rng = np.random.default_rng(41)
+        rho = random_density_matrix(dims, 3, rng)
+        s = _EnsembleSearch(rho, None)
+        w = s.start(4, 3)[1:]  # three Haar mixings
+        vals, grad = s.eof_gradient(w)
+        for i in range(len(w)):
+            assert vals[i] == pytest.approx(average_entropy(w[i] @ s.base, dims), abs=1e-12)
+            x = w[i].conj().T @ grad[i]  # tangent: W^H g is skew-Hermitian
+            assert np.abs(x + x.conj().T).max() <= 1e-12
+            for _ in range(3):
+                z = rng.standard_normal(w[i].shape) + 1j * rng.standard_normal(w[i].shape)
+                x = w[i].conj().T @ z
+                xi = z - w[i] @ (0.5 * (x + x.conj().T))
+                f = [average_entropy(polar(w[i] + t * xi) @ s.base, dims) for t in (h, -h)]
+                slope = (f[0] - f[1]) / (2 * h)
+                want = 2 * np.vdot(grad[i], xi).real
+                assert slope == pytest.approx(want, rel=1e-6)
