@@ -142,10 +142,10 @@ def _decomposition_json(d: Decomposition, value: float) -> dict:
     }
 
 
-def _grid(points: int) -> np.ndarray:
+def _grid(points: int, stop: float) -> np.ndarray:
     if points < 2:
         raise SchemaError("--points must be at least 2")
-    return np.linspace(0.0, 1.0, points)
+    return np.linspace(0.0, stop, points)
 
 
 # -- commands ----------------------------------------------------------------
@@ -189,7 +189,7 @@ def _cmd_ec1(args) -> str:
 
 
 def _cmd_security_region(args) -> str:
-    rows = cost.security_region(args.family, _grid(args.points))
+    rows = cost.security_region(args.family, _grid(args.points, 1.0))
     pname = QUBIT_FAMILIES[args.family][1]
     if args.format == "csv":
         return _emit_csv([pname, "ec1", "nu_max"],
@@ -202,9 +202,7 @@ def _cmd_security_region(args) -> str:
 
 
 def _cmd_dephasing_curves(args) -> str:
-    if args.points < 2:
-        raise SchemaError("--points must be at least 2")
-    rows = cost.dephasing_curves(np.linspace(0.0, 0.5, args.points))
+    rows = cost.dephasing_curves(_grid(args.points, 0.5))
     if args.format == "csv":
         return _emit_csv(["p", "q_arrow", "ec1", "q_e"],
                          [[r.param, r.values["q_arrow"], r.values["ec1"], r.values["q_e"]]

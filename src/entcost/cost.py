@@ -1,8 +1,8 @@
 """Channel-level cost calculators and strong-converse formula evaluators.
 
-The single-letter upper bound on the entanglement cost of a qubit channel is
-closed form: evaluate the concurrence of the Choi state and push it through
-the two-qubit entanglement-of-formation formula.  Everything else here is
+The single-letter bound ec1 of a qubit channel is closed form: evaluate the
+concurrence of the Choi state and push it through the two-qubit
+entanglement-of-formation formula.  Everything else here is
 arithmetic on top of that bound: noisy-storage security thresholds, figure
 sweeps, and the finite-blocklength error bounds, plus the polynomial counting
 factors that appear in the proofs.
@@ -62,7 +62,7 @@ class ConverseParams:
 
 
 def ec1_qubit(ch: KrausChannel) -> float:
-    """Single-letter entanglement-cost upper bound of a qubit channel.
+    """Single-letter bound ec1 of a qubit channel.
 
     The maximally entangled input maximizes the output concurrence, so the
     bound is the two-qubit entanglement of formation of the Choi state:
@@ -130,17 +130,27 @@ def _nu_max(ec1: float) -> float:
 
 
 def security_threshold(ch: KrausChannel) -> float:
-    """Largest storage rate with provable two-party security, 1 / (2 ec1).
+    """Storage rate 1 / (2 ec1) below which two-party security holds.
 
-    Returns ``math.inf`` (the unbounded marker) when the single-letter bound
-    is zero, i.e. for entanglement-breaking storage noise, where security
-    holds at every storage rate.
+    The threshold is proven where ec1 upper-bounds the entanglement cost of
+    the storage channel N.  Teleportation with the Choi state J gives
+    ``E_C(N) <= E_C(J) <= E_F(J) = ec1`` for channels it simulates, the
+    dephasing and depolarizing families; that argument does not cover other
+    qubit channels, amplitude damping among them.  Returns ``math.inf`` (the
+    unbounded marker) when the single-letter bound is zero, i.e. for
+    entanglement-breaking storage noise, where security holds at every
+    storage rate.
     """
     return _nu_max(ec1_qubit(ch))
 
 
 def security_region(family: str, grid: Sequence[float]) -> list[CurveSample]:
-    """Security boundary nu_max(param) = 1/(2 ec1) for one channel family."""
+    """Security boundary nu_max(param) = 1/(2 ec1) for one channel family.
+
+    Proven for ``dephasing`` and ``depolarizing`` through teleportation with
+    the Choi state (see :func:`security_threshold`); the
+    ``amplitude_damping`` rows are not covered by that argument.
+    """
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
     ctor = QUBIT_FAMILIES[family][0]

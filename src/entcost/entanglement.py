@@ -15,7 +15,7 @@ and a heuristic lower bound.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -190,77 +190,22 @@ class OneShotCostBounds:
     witness: Decomposition
 
 
-_ZOOM = 3    # a zoom grid has 2 * _ZOOM points, 1 / (_ZOOM + 1) of the last spacing apart
-_LEVELS = 9  # zoom grids per line search: the coarse spacing pi/28 ends at 4.3e-7 rad
-_OFFSETS = np.concatenate((np.arange(-_ZOOM, 0), np.arange(1, _ZOOM + 1)))
-_GRID = np.linspace(-np.pi / 4, np.pi / 4, 15)
+_SMOOTH_STEPS = 200  # gradient steps per smoothing budget in one_shot_cost_bounds
 
 
-def _line_search(line, size: int):
-    """Grid-zoom minimization of ``size`` line objectives at once.
+def _smooth_support(sq: np.ndarray, delta: float):
+    """(support, excess) of branch spectra sq (..., m, n) at budget delta.
 
-    ``line`` maps an (size, k) array of angles to (size, k) values.  The
-    coarse ``_GRID`` spans [-pi/4, pi/4], a full period (rotating a pair by
-    pi/2 only swaps its branches); each of the ``_LEVELS`` zoom grids then
-    fills the open interval between the incumbent's neighbours, in one
-    batched evaluation.  Returns the best angle and value found per line.
-    """
-    lines = np.arange(size)
-    vals = line(np.broadcast_to(_GRID, (size, _GRID.size)))
-    j = vals.argmin(axis=1)
-    x, best = _GRID[j], vals[lines, j]
-    step = _GRID[1] - _GRID[0]
-    for _ in range(_LEVELS):
-        step /= _ZOOM + 1
-        t = x[:, None] + step * _OFFSETS
-        vals = line(t)
-        j = vals.argmin(axis=1)
-        won = vals[lines, j] < best
-        x = np.where(won, t[lines, j], x)
-        best = np.where(won, vals[lines, j], best)
-    return x, best
-
-
-def _rotate(ra: np.ndarray, rb: np.ndarray, t: np.ndarray, phase: complex):
-    """Givens rotation of branch rows (R, D) by angles t (R,) in direction ``phase``."""
-    c, s = np.cos(t)[:, None], np.sin(t)[:, None]
-    return c * ra + (s * phase) * rb, (-s * np.conj(phase)) * ra + c * rb
-
-
-def _tails(sq: np.ndarray) -> np.ndarray:
-    """Removal-cost tails (..., 2, n+1) of branch spectra (..., n).
-
-    Row 0 uses rank-clamped spectra (dust below ``RANK_RTOL`` of the branch
-    weight is zeroed, making support decisions exact); row 1 keeps the raw
-    spectra and provides a clamp-free progress signal for the tiebreak, so
-    the search cannot chase clamp leakage.
-    """
-    clamped = np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
-    atoms = np.moveaxis(np.stack((clamped, sq), axis=-2), -1, 0)
-    return np.moveaxis(_column_tails(atoms), 0, -1)
-
-
-def _smooth_support(total: np.ndarray, delta: float):
-    """(support, excess) of branch-summed tails (..., 2, n+1) at budget delta.
-
-    ``support`` is the exact smooth support of the flagged ensemble;
-    ``excess`` is the raw mass beyond ``delta`` that one atom fewer would
+    ``support`` is the smallest s such that the mass beyond the s largest
+    eigenvalues of every branch, summed over the branches, fits in delta;
+    it is counted on the spectra as given, so callers apply any rank rule
+    first.  ``excess`` is the mass beyond delta that one atom fewer would
     cost, which lies in [0, 1] (0 at support 0).
     """
-    support = _smallest_support(np.moveaxis(total[..., 0, :], -1, 0), delta)
-    below = np.take_along_axis(total[..., 1, :], np.maximum(support - 1, 0)[..., None],
-                               axis=-1)[..., 0]
+    total = _column_tails(np.moveaxis(sq, -1, 0)).sum(axis=-1)  # (n+1, ...)
+    support = _smallest_support(total, delta)
+    below = np.take_along_axis(total, np.maximum(support - 1, 0)[None], axis=0)[0]
     return support, np.where(support > 0, below - delta, 0.0)
-
-
-def _smooth_score(total: np.ndarray, delta: float) -> np.ndarray:
-    """``2 support + excess``, which orders (support, excess) lexicographically
-    because the excess lies in [0, 1]."""
-    support, excess = _smooth_support(total, delta)
-    return 2.0 * support + excess
-
-
-_SIGNS = np.array([1.0, -1.0])[:, None, None]  # branch a, branch b of a rotated pair
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^H b) per matrix
@@ -272,9 +217,11 @@ class _EnsembleSearch:
 
     Every size-m decomposition of rho has unnormalized branch vectors
     ``rows = W @ base`` for an m x r isometry W, ``base_j = sqrt(l_j) e_j``.
-    Stacked restarts step together: by gradient descent on W for the EoF
-    (:meth:`descend_eof`), by two-branch Givens rotations for the smooth
-    max-entropy, a score with no gradient (:meth:`descend`).
+    Both objectives are spectral sums of the branch marginals, so one
+    gradient engine serves them: :meth:`descend` steps stacked restarts of W
+    together, with the gradient of the average entropy
+    (:meth:`eof_gradient`) or of the smooth max-entropy tiebreak
+    (:meth:`smooth_gradient`).
     """
 
     def __init__(self, rho: DensityMatrix, max_items: int | None):
@@ -305,35 +252,67 @@ class _EnsembleSearch:
             u[i] = haar_isometry(self.m, self.rank, np.random.default_rng((seed, stream, i)))
         return u
 
-    def eof_gradient(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Average branch entropies (R,) of mixings w (R, m, rank) and their
-        Riemannian gradients: ``dF/dconj(M) = -log2(sigma / p) M`` per branch
-        marginal M with gram sigma and weight p, the log zeroed on the kernel
-        of sigma (eigenvalues up to 1e-15 p, where M has no support), pulled
-        back by ``@ base^H``, projected by ``G - W sym(W^H G)``."""
+    def _spectra(self, w: np.ndarray):
+        """Branch marginals M (R, m, n, N) of mixings w (R, m, rank) and the
+        ascending eigenvalues and eigenvectors of their grams, from one
+        batched ``eigh``."""
         mat = _marginal(w @ self.base, self.da, self.db)
         lam, vec = np.linalg.eigh(mat @ _dag(mat))
-        p = lam.sum(axis=-1, keepdims=True)
-        keep = lam > 1e-15 * p
-        log = np.log2(np.where(keep, lam, 1.0) / np.where(keep, p, 1.0))
-        vals = -(lam * log).sum(axis=(-2, -1))
-        grad = -(vec * log[..., None, :]) @ (_dag(vec) @ mat)
+        return mat, lam, vec
+
+    def _tangent(self, w: np.ndarray, mat: np.ndarray, vec: np.ndarray,
+                 weight: np.ndarray) -> np.ndarray:
+        """Riemannian gradient at w of a sum of f(lam) over the branch
+        eigenvalues, given ``weight = f'(lam)`` (broadcastable to (R, m, n)):
+        per branch ``dF/dconj(M) = V diag(weight) V^H M``, pulled back by
+        ``@ base^H``, projected by ``G - W sym(W^H G)``."""
+        grad = (vec * weight[..., None, :]) @ (_dag(vec) @ mat)
         if self.da > self.db:
             grad = np.swapaxes(grad, -1, -2)
         grad = grad.reshape(w.shape[:-1] + (-1,)) @ _dag(self.base)
         sym = _dag(w) @ grad
-        return vals, grad - w @ (0.5 * (sym + _dag(sym)))
+        return grad - w @ (0.5 * (sym + _dag(sym)))
 
-    def descend_eof(self, w: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    def eof_gradient(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Average branch entropies (R,) of mixings w (R, m, rank) and their
+        Riemannian gradients, with weight ``-log2(sigma / p)`` per eigenvalue
+        sigma of a branch gram of weight p, zeroed on the kernel (eigenvalues
+        up to 1e-15 p, where M has no support)."""
+        mat, lam, vec = self._spectra(w)
+        p = lam.sum(axis=-1, keepdims=True)
+        keep = lam > 1e-15 * p
+        log = np.log2(np.where(keep, lam, 1.0) / np.where(keep, p, 1.0))
+        return -(lam * log).sum(axis=(-2, -1)), self._tangent(w, mat, vec, -log)
+
+    def smooth_gradient(self, w: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Smooth scores ``2 support + excess`` (R,) of mixings w at budget
+        delta and the Riemannian gradients of their excess.
+
+        The score orders (support, excess) lexicographically because the
+        excess lies in [0, 1].  Support is counted on the raw spectra.  The
+        excess is the sum over branches of their ``n + 1 - support``
+        smallest eigenvalues, less delta, so its weight is 1 on those
+        eigenvalues and 0 elsewhere (Ky Fan); the support, piecewise
+        constant, has no gradient.
+        """
+        mat, lam, vec = self._spectra(w)
+        support, excess = _smooth_support(lam, delta)
+        cut = np.where(support > 0, lam.shape[-1] + 1 - support, 0)
+        weight = np.arange(lam.shape[-1]) < cut[:, None, None]  # (R, 1, n), broadcast
+        return 2.0 * support + excess, self._tangent(w, mat, vec, weight)
+
+    def descend(self, w: np.ndarray, steps: int, objective) -> tuple[np.ndarray, np.ndarray]:
         """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
 
-        Each of the ``steps`` batched evaluations tries every live restart's
-        Barzilai-Borwein step (long and short alternate, at most 1e3) through
-        a polar retraction and halves it unless it passes the Armijo test
-        (decrease 1e-4 step |g|^2).  A restart stops at a gradient norm below
-        1e-8 or a step below 1e-10.  Returns the final values (R,) and mixings.
+        ``objective`` maps mixings to their values (R,) and Riemannian
+        gradients.  Each of the ``steps`` batched evaluations tries every
+        live restart's Barzilai-Borwein step (long and short alternate, at
+        most 1e3) through a polar retraction and halves it unless it passes
+        the Armijo test (decrease 1e-4 step |g|^2).  A restart stops at a
+        gradient norm below 1e-8 or a step below 1e-10.  Returns the final
+        values (R,) and mixings.
         """
-        vals, grad = self.eof_gradient(w)
+        vals, grad = objective(w)
         step = np.ones(len(w))
         live = np.arange(len(w))
         for k in range(steps):
@@ -344,7 +323,7 @@ class _EnsembleSearch:
             u, _, vh = np.linalg.svd(w[live] - step[live, None, None] * grad[live],
                                      full_matrices=False)
             trial = u @ vh
-            tv, tg = self.eof_gradient(trial)
+            tv, tg = objective(trial)
             won = tv <= vals[live] - 1e-4 * step[live] * gg[live]
             step[live[~won]] *= 0.5
             acc = live[won]
@@ -355,75 +334,13 @@ class _EnsembleSearch:
             w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
         return vals, w
 
-    def tails(self, rows: np.ndarray) -> np.ndarray:
-        """Removal-cost tails (..., m, 2, n+1) of the branches of rows (..., m, D)."""
-        return _tails(_schmidt_sq(rows, self.da, self.db))
-
-    def _line(self, rows: np.ndarray, tails: np.ndarray, a: int, b: int,
-              phase: complex, delta: float):
-        """Smooth score of every restart along the rotation of its branches a and b.
-
-        A rotated pair has marginal grams quadratic in (cos t, sin t), with
-        coefficients from the gram pack (A, B, H): ``c^2 A + s^2 B + cs H``
-        and ``s^2 A + c^2 B - cs H``.  So one evaluation over all restarts
-        and angles costs one small matrix product and one batched spectrum.
-        ``tails`` holds the per-branch tails of ``rows``.
-        """
-        rest = tails[:, [i for i in range(self.m) if i != a and i != b]].sum(axis=1)
-        ma = _marginal(rows[:, a], self.da, self.db)
-        mb = _marginal(rows[:, b], self.da, self.db)
-        ga, gb, x = ma @ _dag(ma), mb @ _dag(mb), np.conj(phase) * (ma @ _dag(mb))
-        mean = (0.5 * (ga + gb))[:, None, None]
-        # the pair's grams are mean +- (cos 2t (A - B) + sin 2t H) / 2
-        arms = np.stack((0.5 * (ga - gb), 0.5 * (x + _dag(x))), axis=1)
-        arms = arms.reshape(len(rows), 2, -1).view(np.float64)
-        shape = ga.shape[1:]
-
-        def line(t):
-            # exp(2it) viewed as real pairs (cos 2t, sin 2t)
-            trig = np.exp(2j * t).view(np.float64).reshape(t.shape + (2,))
-            arm = (trig @ arms).view(np.complex128).reshape(t.shape + (1,) + shape)
-            spec = _gram_spectra(mean + _SIGNS * arm)
-            return _smooth_score(rest[:, None] + _tails(spec).sum(axis=2), delta)
-
-        return line
-
-    def descend(self, rows: np.ndarray, delta: float, sweeps: int) -> np.ndarray:
-        """Coordinate descent of the smooth score of every restart in ``rows``
-        (R, m, D) at once, at smoothing budget ``delta``.
-
-        A sweep visits every branch pair with a real and an imaginary
-        rotation, each a batched grid-zoom line search; a move is kept when
-        it lowers its restart's score by more than 1e-13, and the moved
-        branches' tails are then recomputed from the rotated rows.  A restart
-        drops out after the first sweep that lowers its score by no more
-        than 1e-12.  Returns the final rows.
-        """
-        tails = self.tails(rows)
-        cur = _smooth_score(tails.sum(axis=1), delta)
-        # with a one-dimensional side every branch marginal is pure
-        live = np.arange(len(rows) if min(self.da, self.db) > 1 else 0)
-        for _ in range(max(1, sweeps)):
-            if live.size == 0:
-                break
-            r, p, c = rows[live], tails[live], cur[live]
-            start = c.copy()
-            for a, b in itertools.combinations(range(self.m), 2):
-                for phase in (1.0 + 0.0j, 1.0j):
-                    x, val = _line_search(self._line(r, p, a, b, phase, delta), len(r))
-                    acc = np.flatnonzero(val < c - 1e-13)
-                    if acc.size:
-                        na, nb = _rotate(r[acc, a], r[acc, b], x[acc], phase)
-                        r[acc, a], r[acc, b] = na, nb
-                        p[acc, a], p[acc, b] = self.tails(na), self.tails(nb)
-                        c[acc] = _smooth_score(p[acc].sum(axis=1), delta)
-            rows[live], tails[live], cur[live] = r, p, c
-            live = live[start - c > 1e-12]
-        return rows
-
     def smooth_value(self, rows: np.ndarray, delta: float) -> list[float]:
-        """Smooth conditional max-entropy of each decomposition in ``rows``."""
-        support, _ = _smooth_support(self.tails(rows).sum(axis=-3), delta)
+        """Smooth conditional max-entropy of each decomposition in ``rows``
+        (..., m, D), with Schmidt weights up to ``RANK_RTOL`` of their branch
+        weight counted as 0 (the package's rank rule)."""
+        sq = _schmidt_sq(rows, self.da, self.db)
+        support, _ = _smooth_support(
+            np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0), delta)
         return [math.log2(s) if s > 0 else -math.inf for s in support.tolist()]
 
     def decomposition(self, rows: np.ndarray) -> Decomposition:
@@ -455,9 +372,10 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    vals, w = search.descend_eof(search.start(restarts, seed), 10 * max(1, sweeps))
+    vals, w = search.descend(search.start(restarts, seed), 10 * max(1, sweeps),
+                             search.eof_gradient)
     top = np.argsort(vals, kind="stable")[:3]
-    vals[top], w[top] = search.descend_eof(w[top], 1000)
+    vals[top], w[top] = search.descend(w[top], 1000, search.eof_gradient)
     best = int(np.argmin(vals))
     decomp = search.decomposition(w[best] @ search.base)
     value = eof_cq_conditional(decomp)
@@ -467,17 +385,20 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
 
 def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
                          max_items: int | None = None, restarts: int = 8,
-                         seed: int = 0, sweeps: int = 2) -> OneShotCostBounds:
+                         seed: int = 0) -> OneShotCostBounds:
     """Bounds on the one-shot dilution cost of ``rho`` at error ``eps``.
 
     Searches decompositions minimizing the exact smooth conditional
     max-entropy of the branch ensemble, once per smoothing budget: ``eps/2``
     for the achievable (upper) side and ``2 sqrt(eps)`` for the converse
-    (lower) side.  The restarts of each budget run together, scored by
-    (support, excess) with the excess as the tiebreak within a support
-    level.  Both bounds are evaluated on the union of all candidate
-    decompositions, and the larger budget can only smooth further, so
-    ``lower <= upper`` holds by construction.
+    (lower) side.  The restarts of each budget run together through at most
+    ``_SMOOTH_STEPS`` gradient steps of :meth:`_EnsembleSearch.descend`,
+    scored by (support, excess) with the excess as the tiebreak within a
+    support level.  The search counts support on the raw spectra; the
+    reported values apply the ``RANK_RTOL`` rank rule.  Both bounds are
+    evaluated on the union of all candidate decompositions, and the larger
+    budget can only smooth further, so ``lower <= upper`` holds by
+    construction.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
@@ -486,8 +407,9 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     delta_low = 2.0 * math.sqrt(eps)
     found = []
     for stream, delta in enumerate((delta_up, delta_low)):
-        rows = search.start(max(1, restarts), seed, stream) @ search.base
-        found.append(search.descend(rows, delta, sweeps))
+        _, w = search.descend(search.start(max(1, restarts), seed, stream), _SMOOTH_STEPS,
+                              functools.partial(search.smooth_gradient, delta=delta))
+        found.append(w @ search.base)
     rows = np.concatenate(found)
     upper = search.smooth_value(rows, delta_up)
     best = upper.index(min(upper))

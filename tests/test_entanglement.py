@@ -1,5 +1,6 @@
 """Entanglement measure tests: closed forms, decomposition search, bounds."""
 
+import functools
 import math
 
 import numpy as np
@@ -281,12 +282,26 @@ def test_one_shot_upper_monotone_for_fixed_witness():
 
 
 def test_one_shot_lower_never_exceeds_upper():
+    # both marginal orientations and smaller sides of 2 and 3
     rng = np.random.default_rng(31)
-    for i in range(5):
-        rho = random_density_matrix((2, 2), int(rng.integers(1, 5)), rng)
+    dims = [(2, 2)] * 5 + [(2, 3), (3, 2), (3, 3)] * 2
+    for i, d in enumerate(dims):
+        rho = random_density_matrix(d, int(rng.integers(1, d[0] * d[1] + 1)), rng)
         eps = float(rng.random() * 0.2)
         b = one_shot_cost_bounds(rho, eps, restarts=3, seed=i)
         assert b.lower <= b.upper + 1e-12
+
+
+def test_one_shot_drops_rank_noise_branch_weights():
+    # support 2 is reachable at eps = 0: the search drives every branch's
+    # Schmidt weights beyond the two largest to round-off, and the reported
+    # bound certifies it
+    rho = random_density_matrix((3, 3), 4, np.random.default_rng(17))
+    b = one_shot_cost_bounds(rho, 0.0, seed=0)
+    assert b.upper == 1.0
+    for _, psi in b.witness.items:
+        sq = np.linalg.svd(psi.vec.reshape(3, 3), compute_uv=False) ** 2
+        assert sq[2:].sum() <= 1e-12
 
 
 def test_one_shot_eps_range():
@@ -296,50 +311,20 @@ def test_one_shot_eps_range():
         one_shot_cost_bounds(bell_dm(), 1.5)
 
 
-def smooth_score_reference(sq, delta):
+def smooth_score_reference(sq, delta, rtol=0.0):
     """(support, excess) of one decomposition's branch spectra (m, n), branch by
-    branch: rank-clamped and raw tails of every branch, summed."""
+    branch: support counted with each Schmidt weight up to ``rtol`` of its
+    branch weight zeroed, excess on the raw spectra."""
     n = sq.shape[1]
-    clamped_total, raw_total = np.zeros(n + 1), np.zeros(n + 1)
+    kept_total, raw_total = np.zeros(n + 1), np.zeros(n + 1)
     for w in sq:
         srt = np.sort(w)[::-1]
-        clamped = np.where(srt > RANK_RTOL * srt.sum(), srt, 0.0)
+        kept = np.where(srt > rtol * srt.sum(), srt, 0.0)
         for s in range(n):
-            clamped_total[s] += clamped[s:].sum()
+            kept_total[s] += kept[s:].sum()
             raw_total[s] += srt[s:].sum()
-    s = next(s for s in range(n + 1) if clamped_total[s] <= delta)
+    s = next(s for s in range(n + 1) if kept_total[s] <= delta)
     return s, (raw_total[s - 1] - delta if s else 0.0)
-
-
-def test_line_objective_matches_direct_rotation():
-    # the batched gram-pack line must agree with rotating every restart's rows
-    # outright, in both marginal orientations and for both phase directions
-    from entcost.entanglement import _EnsembleSearch
-
-    angles = np.linspace(-np.pi / 4, np.pi / 4, 9)
-    delta = 0.15
-    supports = set()
-    for dims in ((2, 3), (3, 2), (2, 2), (4, 3)):
-        rng = np.random.default_rng(5)
-        rho = random_density_matrix(dims, 3, rng)
-        s = _EnsembleSearch(rho, None)
-        rows = s.start(4, 9)[1:] @ s.base  # three Haar restarts
-        t = np.tile(angles, (len(rows), 1))
-        for phase in (1.0 + 0j, 1j):
-            vals = s._line(rows, s.tails(rows), 0, 1, phase, delta)(t)
-            for i, row in enumerate(rows):
-                for k, theta in enumerate(angles):
-                    c, sn = math.cos(theta), math.sin(theta)
-                    rot = row.copy()
-                    rot[0] = c * row[0] + sn * phase * row[1]
-                    rot[1] = -sn * np.conj(phase) * row[0] + c * row[1]
-                    sq = np.linalg.svd(rot.reshape(-1, *dims), compute_uv=False) ** 2
-                    support, excess = smooth_score_reference(sq, delta)
-                    got = math.floor(vals[i, k] / 2)
-                    assert got == support
-                    assert vals[i, k] - 2 * got == pytest.approx(excess, abs=1e-12)
-                    supports.add(support)
-    assert len(supports) > 1
 
 
 def average_entropy(rows, dims):
@@ -349,10 +334,19 @@ def average_entropy(rows, dims):
     return sum(-(w[w > 0] * np.log2(w[w > 0])).sum() for w in sq) + (p * np.log2(p)).sum()
 
 
+def smooth_score(rows, dims, delta):
+    """``2 support + excess`` of unnormalized rows (m, D) on raw SVD spectra."""
+    sq = np.linalg.svd(rows.reshape(-1, *dims), compute_uv=False) ** 2
+    support, excess = smooth_score_reference(sq, delta)
+    return 2 * support + excess
+
+
 def test_eof_gradient_matches_finite_differences():
     # dF(W(t))/dt = 2 Re tr(g^H xi) at t = 0 along W(t) = polar(W + t xi) for
-    # tangent xi, with F recomputed from the rows by an SVD; both marginal
-    # orientations, (2, 3) and (3, 2), and smaller sides of 2 and 3
+    # tangent xi, with F recomputed from the rows by an SVD; F is the average
+    # entropy or the smooth score at three budgets (the excess slope; support
+    # 1 has gradient 0); both marginal orientations, (2, 3) and (3, 2), and
+    # smaller sides of 2 and 3
     from entcost.entanglement import _EnsembleSearch
 
     def polar(a):
@@ -360,21 +354,43 @@ def test_eof_gradient_matches_finite_differences():
         return u[:, :a.shape[1]] @ vh
 
     h = 1e-5
-    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    supports = set()
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
         rng = np.random.default_rng(41)
         rho = random_density_matrix(dims, 3, rng)
         s = _EnsembleSearch(rho, None)
         w = s.start(4, 3)[1:]  # three Haar mixings
-        vals, grad = s.eof_gradient(w)
-        for i in range(len(w)):
-            assert vals[i] == pytest.approx(average_entropy(w[i] @ s.base, dims), abs=1e-12)
-            x = w[i].conj().T @ grad[i]  # tangent: W^H g is skew-Hermitian
-            assert np.abs(x + x.conj().T).max() <= 1e-12
-            for _ in range(3):
-                z = rng.standard_normal(w[i].shape) + 1j * rng.standard_normal(w[i].shape)
-                x = w[i].conj().T @ z
-                xi = z - w[i] @ (0.5 * (x + x.conj().T))
-                f = [average_entropy(polar(w[i] + t * xi) @ s.base, dims) for t in (h, -h)]
-                slope = (f[0] - f[1]) / (2 * h)
-                want = 2 * np.vdot(grad[i], xi).real
-                assert slope == pytest.approx(want, rel=1e-6)
+        for delta in (None, 0.0, 0.05, 0.15):  # None: the average entropy
+            if delta is None:
+                objective, floor = s.eof_gradient, 1e-12
+                reference = functools.partial(average_entropy, dims=dims)
+            else:
+                objective, floor = functools.partial(s.smooth_gradient, delta=delta), 1e-9
+                reference = functools.partial(smooth_score, dims=dims, delta=delta)
+            vals, grad = objective(w)
+            for i in range(len(w)):
+                assert vals[i] == pytest.approx(reference(w[i] @ s.base), abs=1e-12)
+                if delta is not None:
+                    supports.add(math.floor(vals[i] / 2))
+                x = w[i].conj().T @ grad[i]  # tangent: W^H g is skew-Hermitian
+                assert np.abs(x + x.conj().T).max() <= 1e-12
+                for _ in range(3):
+                    z = rng.standard_normal(w[i].shape) + 1j * rng.standard_normal(w[i].shape)
+                    x = w[i].conj().T @ z
+                    xi = z - w[i] @ (0.5 * (x + x.conj().T))
+                    f = [reference(polar(w[i] + t * xi) @ s.base) for t in (h, -h)]
+                    slope = (f[0] - f[1]) / (2 * h)
+                    want = 2 * np.vdot(grad[i], xi).real
+                    assert abs(slope - want) <= max(1e-6 * abs(want), floor)
+    assert supports == {1, 2, 3}
+
+    # The search counts support on the raw spectra; smooth_value applies the
+    # rank rule.  A Schmidt weight of 1e-12 is rank noise to the latter only.
+    vec = np.array([math.sqrt(1 - 1e-12), 0, 0, math.sqrt(1e-12)], dtype=complex)
+    s = _EnsembleSearch(PureState((2, 2), vec).to_density_matrix(), None)
+    w = s.start(1, 0)
+    sq = np.linalg.svd((w[0] @ s.base).reshape(-1, 2, 2), compute_uv=False) ** 2
+    assert smooth_score_reference(sq, 0.0) == (2, pytest.approx(1e-12, rel=1e-3))
+    assert smooth_score_reference(sq, 0.0, RANK_RTOL) == (1, pytest.approx(1.0))
+    assert s.smooth_gradient(w, 0.0)[0][0] == pytest.approx(4.0 + 1e-12, abs=1e-14)
+    assert s.smooth_value(w @ s.base, 0.0) == [0.0]
