@@ -341,47 +341,64 @@ def smooth_score(rows, dims, delta):
     return 2 * support + excess
 
 
+def polar(a):
+    """Unitary polar factor of a square matrix."""
+    u, _, vh = np.linalg.svd(a)
+    return u[:, :a.shape[1]] @ vh
+
+
+def check_gradient(s, w, objective, reference, floor, rng, h=1e-5):
+    """Check ``objective(w)`` of the search ``s`` against ``reference`` of the
+    rows, and its gradient against central differences: dF(W(t))/dt =
+    2 Re tr(g^H xi) at t = 0 along W(t) = polar(W + t xi) for tangent xi.
+    Returns the objective values."""
+    vals, grad = objective(w)
+    for i in range(len(w)):
+        assert vals[i] == pytest.approx(reference(w[i] @ s.base), abs=1e-12)
+        x = w[i].conj().T @ grad[i]  # tangent: W^H g is skew-Hermitian
+        assert np.abs(x + x.conj().T).max() <= 1e-12
+        for _ in range(3):
+            z = rng.standard_normal(w[i].shape) + 1j * rng.standard_normal(w[i].shape)
+            x = w[i].conj().T @ z
+            xi = z - w[i] @ (0.5 * (x + x.conj().T))
+            f = [reference(polar(w[i] + t * xi) @ s.base) for t in (h, -h)]
+            slope = (f[0] - f[1]) / (2 * h)
+            want = 2 * np.vdot(grad[i], xi).real
+            assert abs(slope - want) <= max(1e-6 * abs(want), floor)
+    return vals
+
+
 def test_eof_gradient_matches_finite_differences():
-    # dF(W(t))/dt = 2 Re tr(g^H xi) at t = 0 along W(t) = polar(W + t xi) for
-    # tangent xi, with F recomputed from the rows by an SVD; F is the average
-    # entropy or the smooth score at three budgets (the excess slope; support
-    # 1 has gradient 0); both marginal orientations, (2, 3) and (3, 2), and
-    # smaller sides of 2 and 3
+    # F is the average entropy, recomputed from the rows by an SVD; both
+    # marginal orientations, (2, 3) and (3, 2), and smaller sides of 2 and 3
     from entcost.entanglement import _EnsembleSearch
 
-    def polar(a):
-        u, _, vh = np.linalg.svd(a)
-        return u[:, :a.shape[1]] @ vh
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
+        rng = np.random.default_rng(41)
+        rho = random_density_matrix(dims, 3, rng)
+        s = _EnsembleSearch(rho, None)
+        w = s.start(4, 3)[1:]  # three Haar mixings
+        check_gradient(s, w, s.eof_gradient,
+                       functools.partial(average_entropy, dims=dims), 1e-12, rng)
 
-    h = 1e-5
+
+def test_smooth_gradient_matches_finite_differences():
+    # F is the smooth score 2 support + excess at three budgets, recomputed
+    # branch by branch from the rows by an SVD (the excess slope; support 1
+    # has gradient 0); the same shapes as the entropy gradient
+    from entcost.entanglement import _EnsembleSearch
+
     supports = set()
     for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
         rng = np.random.default_rng(41)
         rho = random_density_matrix(dims, 3, rng)
         s = _EnsembleSearch(rho, None)
         w = s.start(4, 3)[1:]  # three Haar mixings
-        for delta in (None, 0.0, 0.05, 0.15):  # None: the average entropy
-            if delta is None:
-                objective, floor = s.eof_gradient, 1e-12
-                reference = functools.partial(average_entropy, dims=dims)
-            else:
-                objective, floor = functools.partial(s.smooth_gradient, delta=delta), 1e-9
-                reference = functools.partial(smooth_score, dims=dims, delta=delta)
-            vals, grad = objective(w)
-            for i in range(len(w)):
-                assert vals[i] == pytest.approx(reference(w[i] @ s.base), abs=1e-12)
-                if delta is not None:
-                    supports.add(math.floor(vals[i] / 2))
-                x = w[i].conj().T @ grad[i]  # tangent: W^H g is skew-Hermitian
-                assert np.abs(x + x.conj().T).max() <= 1e-12
-                for _ in range(3):
-                    z = rng.standard_normal(w[i].shape) + 1j * rng.standard_normal(w[i].shape)
-                    x = w[i].conj().T @ z
-                    xi = z - w[i] @ (0.5 * (x + x.conj().T))
-                    f = [reference(polar(w[i] + t * xi) @ s.base) for t in (h, -h)]
-                    slope = (f[0] - f[1]) / (2 * h)
-                    want = 2 * np.vdot(grad[i], xi).real
-                    assert abs(slope - want) <= max(1e-6 * abs(want), floor)
+        for delta in (0.0, 0.05, 0.15):
+            vals = check_gradient(s, w, functools.partial(s.smooth_gradient, delta=delta),
+                                  functools.partial(smooth_score, dims=dims, delta=delta),
+                                  1e-9, rng)
+            supports.update(math.floor(v / 2) for v in vals)
     assert supports == {1, 2, 3}
 
     # The search counts support on the raw spectra; smooth_value applies the
