@@ -188,29 +188,22 @@ def _cmd_ec1(args) -> str:
     return _emit_json({"ec1": est.value, "certified": est.certified})
 
 
+def _emit_curve(rows: list[cost.CurveSample], pname: str, fmt: str, **head) -> str:
+    """Curve rows as CSV ``pname,<value names>`` or JSON ``{**head, "rows": [...]}``."""
+    if fmt == "csv":
+        return _emit_csv([pname, *rows[0].values],
+                         [[r.param, *r.values.values()] for r in rows])
+    return _emit_json({**head, "rows": [{pname: r.param, **r.values} for r in rows]})
+
+
 def _cmd_security_region(args) -> str:
     rows = cost.security_region(args.family, _grid(args.points, 1.0))
-    pname = QUBIT_FAMILIES[args.family][1]
-    if args.format == "csv":
-        return _emit_csv([pname, "ec1", "nu_max"],
-                         [[r.param, r.values["ec1"], r.values["nu_max"]] for r in rows])
-    return _emit_json({
-        "family": args.family,
-        "rows": [{pname: r.param, "ec1": r.values["ec1"], "nu_max": r.values["nu_max"]}
-                 for r in rows],
-    })
+    return _emit_curve(rows, QUBIT_FAMILIES[args.family][1], args.format,
+                       family=args.family)
 
 
 def _cmd_dephasing_curves(args) -> str:
-    rows = cost.dephasing_curves(_grid(args.points, 0.5))
-    if args.format == "csv":
-        return _emit_csv(["p", "q_arrow", "ec1", "q_e"],
-                         [[r.param, r.values["q_arrow"], r.values["ec1"], r.values["q_e"]]
-                          for r in rows])
-    return _emit_json({
-        "rows": [{"p": r.param, "q_arrow": r.values["q_arrow"],
-                  "ec1": r.values["ec1"], "q_e": r.values["q_e"]} for r in rows],
-    })
+    return _emit_curve(cost.dephasing_curves(_grid(args.points, 0.5)), "p", args.format)
 
 
 def _cmd_strong_converse(args) -> str:
@@ -370,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dephasing-curves",
                        help="capacity comparison sweep for the dephasing channel")
     p.add_argument("--points", type=int, default=101,
-                   help="grid points on [0, 1] (default 101)")
+                   help="grid points on [0, 1/2] (default 101)")
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="output format (default json)")
     p.set_defaults(func=_cmd_dephasing_curves)

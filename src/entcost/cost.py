@@ -88,6 +88,8 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
     uncertified: the inner value upper-bounds each input's entanglement of
     formation, but the outer maximization is heuristic.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if ch.dim_in == 2 and ch.dim_out == 2:
         return Ec1Estimate(ec1_qubit(ch), True)
     if ch.dim_in * ch.dim_out > 16:
@@ -99,7 +101,7 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
 
     best_psi = max_entangled(ch.dim_in)
     best = value_at(best_psi)
-    for i in range(1, max(1, restarts)):
+    for i in range(1, restarts):
         psi = random_pure_state((ch.dim_in, ch.dim_in),
                                 np.random.default_rng((seed, 11, i)))
         val = value_at(psi)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CQState, _column_tails, _smallest_support, binary_h
+from .entropy import CQState, _log2_support, _smooth_support, binary_h
 from .linalg import (
     RANK_RTOL,
     DensityMatrix,
@@ -193,21 +193,6 @@ class OneShotCostBounds:
 _SMOOTH_STEPS = 200  # gradient steps per smoothing budget in one_shot_cost_bounds
 
 
-def _smooth_support(sq: np.ndarray, delta: float):
-    """(support, excess) of branch spectra sq (..., m, n) at budget delta.
-
-    ``support`` is the smallest s such that the mass beyond the s largest
-    eigenvalues of every branch, summed over the branches, fits in delta;
-    it is counted on the spectra as given, so callers apply any rank rule
-    first.  ``excess`` is the mass beyond delta that one atom fewer would
-    cost, which lies in [0, 1] (0 at support 0).
-    """
-    total = _column_tails(np.moveaxis(sq, -1, 0)).sum(axis=-1)  # (n+1, ...)
-    support = _smallest_support(total, delta)
-    below = np.take_along_axis(total, np.maximum(support - 1, 0)[None], axis=0)[0]
-    return support, np.where(support > 0, below - delta, 0.0)
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^H b) per matrix
     return np.einsum("rij,rij->r", a.conj(), b).real
 
@@ -296,7 +281,7 @@ class _EnsembleSearch:
         constant, has no gradient.
         """
         mat, lam, vec = self._spectra(w)
-        support, excess = _smooth_support(lam, delta)
+        support, excess = _smooth_support(np.moveaxis(lam, -1, 0), delta)
         cut = np.where(support > 0, lam.shape[-1] + 1 - support, 0)
         weight = np.arange(lam.shape[-1]) < cut[:, None, None]  # (R, 1, n), broadcast
         return 2.0 * support + excess, self._tangent(w, mat, vec, weight)
@@ -339,9 +324,9 @@ class _EnsembleSearch:
         (..., m, D), with Schmidt weights up to ``RANK_RTOL`` of their branch
         weight counted as 0 (the package's rank rule)."""
         sq = _schmidt_sq(rows, self.da, self.db)
-        support, _ = _smooth_support(
-            np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0), delta)
-        return [math.log2(s) if s > 0 else -math.inf for s in support.tolist()]
+        sq = np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
+        support, _ = _smooth_support(np.moveaxis(sq, -1, 0), delta)
+        return [_log2_support(s) for s in support.tolist()]
 
     def decomposition(self, rows: np.ndarray) -> Decomposition:
         items = []
@@ -402,12 +387,14 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     search = _EnsembleSearch(rho, max_items)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
     found = []
     for stream, delta in enumerate((delta_up, delta_low)):
-        _, w = search.descend(search.start(max(1, restarts), seed, stream), _SMOOTH_STEPS,
+        _, w = search.descend(search.start(restarts, seed, stream), _SMOOTH_STEPS,
                               functools.partial(search.smooth_gradient, delta=delta))
         found.append(w @ search.base)
     rows = np.concatenate(found)

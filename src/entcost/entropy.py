@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    RANK_RTOL,
     TRACE_TOL,
     DensityMatrix,
     ValidationError,
@@ -132,54 +131,33 @@ def cond_von_neumann(rho: DensityMatrix) -> float:
     return von_neumann(rho) - von_neumann(partial_trace(rho, keep=1))
 
 
-def _clamped_eigs(mat: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues with sub-rank-threshold values set to exact 0.
-
-    The clamp makes quantum spectra safe for the exact-support classical
-    machinery: eigenvalue dust below ``RANK_RTOL * max(lmax, 1)`` is rank
-    noise, not data.
-    """
-    w = np.linalg.eigvalsh(mat)[::-1]
-    cut = RANK_RTOL * max(float(w[0]) if w.size else 0.0, 1.0)
-    w = np.where(w > cut, w, 0.0)
-    return w
+def _log2_support(s: int) -> float:
+    """log2 of a support count; the empty support (0) gives -inf."""
+    return math.log2(s) if s > 0 else -math.inf
 
 
 def h0(rho: DensityMatrix) -> float:
     """Alternative max-entropy of an unconditioned state: log2 of its rank."""
-    rank = numerical_rank(np.linalg.eigvalsh(rho.mat))
-    if rank == 0:
-        return float("-inf")
-    return float(math.log2(rank))
+    return _log2_support(numerical_rank(np.linalg.eigvalsh(rho.mat)))
 
 
-def h0_cond_cq(s: CQState) -> float:
-    """Conditional max-entropy of a CQ state: the largest branch log-rank."""
-    best = 0
-    for _, rho in s.branches:
-        best = max(best, numerical_rank(np.linalg.eigvalsh(rho.mat)))
-    if best == 0:
-        return float("-inf")
-    return float(math.log2(best))
+def _smooth_support(cols: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(support, excess) of nonnegative weight columns at L1 budget eps.
 
-
-def _column_tails(cols: np.ndarray) -> np.ndarray:
-    """tails[s, ...] = mass removed from a column when only its s largest atoms stay.
-
-    Atoms run along axis 0; every further axis indexes columns or batches.
+    Atoms run along axis 0 and columns along the last axis; any axes in
+    between are batches, and both results have their shape.  ``support`` is
+    the smallest s such that the mass beyond the s largest atoms of every
+    column, summed over the columns, fits in eps; atoms are counted as given,
+    so callers apply any rank rule first.  ``excess`` is the mass beyond eps
+    that one atom fewer would cost: it lies in [0, 1] for weights of total
+    at most 1, and is 0 at support 0.
     """
     tails = np.zeros((cols.shape[0] + 1,) + cols.shape[1:])
     tails[:-1] = np.sort(cols, axis=0).cumsum(axis=0)[::-1]
-    return tails
-
-
-def _smallest_support(tails: np.ndarray, eps: float) -> np.ndarray:
-    """Smallest support ceiling s whose summed removal cost ``tails[s]`` fits eps.
-
-    ``tails`` is :func:`_column_tails` summed over the columns; any axes after
-    the first are batches, and the result has their shape.
-    """
-    return np.argmax(tails <= eps, axis=0)
+    tails = tails.sum(axis=-1)  # tails[s]: summed mass beyond the s largest atoms
+    support = np.argmax(tails <= eps, axis=0)
+    below = np.take_along_axis(tails, np.maximum(support - 1, 0)[None], axis=0)[0]
+    return support, np.where(support > 0, below - eps, 0.0)
 
 
 def classical_h0_cond(p: ClassicalJoint) -> float:
@@ -187,12 +165,9 @@ def classical_h0_cond(p: ClassicalJoint) -> float:
 
     Support counting is exact (entries > 0): classical tables are caller
     supplied data, and smoothing is the sanctioned way to kill small atoms.
+    This is the smoothing at budget 0, which keeps every nonzero atom.
     """
-    supports = (p.weights > 0.0).sum(axis=0)
-    best = int(supports.max())
-    if best == 0:
-        return float("-inf")
-    return float(math.log2(best))
+    return classical_smooth_h0_cond(p, 0.0)
 
 
 def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
@@ -206,19 +181,24 @@ def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
     """
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
-    s = int(_smallest_support(_column_tails(p.weights).sum(axis=1), eps))
-    if s == 0:
-        return float("-inf")
-    return float(math.log2(s))
+    return _log2_support(int(_smooth_support(p.weights, eps)[0]))
 
 
 def _cq_columns(s: CQState) -> np.ndarray:
-    """Eigenvalues of p_k rho_k as table columns, rank-noise clamped to 0."""
-    da = s.branches[0][1].dim
-    cols = np.zeros((da, len(s.branches)))
+    """Eigenvalues of p_k rho_k as table columns, with the eigenvalues that
+    :func:`numerical_rank` does not count set to exact 0."""
+    cols = np.zeros((s.branches[0][1].dim, len(s.branches)))
     for i, (p, rho) in enumerate(s.branches):
-        cols[:, i] = p * _clamped_eigs(rho.mat)
+        w = np.linalg.eigvalsh(rho.mat)[::-1]
+        rank = numerical_rank(w)
+        cols[:rank, i] = p * w[:rank]
     return cols
+
+
+def h0_cond_cq(s: CQState) -> float:
+    """Conditional max-entropy of a CQ state: the largest branch log-rank,
+    which is the smoothing at budget 0."""
+    return smooth_h0_cond_cq(s, 0.0)
 
 
 def smooth_h0_cond_cq(s: CQState, eps: float) -> float:
@@ -231,10 +211,7 @@ def smooth_h0_cond_cq(s: CQState, eps: float) -> float:
     """
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
-    sup = int(_smallest_support(_column_tails(_cq_columns(s)).sum(axis=1), eps))
-    if sup == 0:
-        return float("-inf")
-    return float(math.log2(sup))
+    return _log2_support(int(_smooth_support(_cq_columns(s), eps)[0]))
 
 
 def classical_cond_entropy(p: ClassicalJoint) -> float:

@@ -213,6 +213,18 @@ def test_exit_codes(capsys):
     assert code == 2 and out == ""
     code, out, _ = invoke(capsys, "eof", "--state", CC, "--numeric", "--tol", "nan")
     assert code == 2 and out == ""
+    # fewer than one restart is a usage error for every seeded search
+    code, out, _ = invoke(capsys, "one-shot-cost", "--state", CC, "--eps", "0.1",
+                          "--restarts", "-3")
+    assert code == 2 and out == ""
+    z, o = [0, 0], [1, 0]
+    qutrit_to_qubit = json.dumps({"type": "kraus", "dim_in": 3, "dim_out": 2,
+                                  "ops": [[o, z, z, z, o, z], [z, z, o, z, z, z]]})
+    code, out, _ = invoke(capsys, "ec1", "--channel", qutrit_to_qubit, "--restarts", "-2")
+    assert code == 2 and out == ""
+    code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH, "--n", "5",
+                          "--restarts", "0")
+    assert code == 2 and out == ""
 
 
 def test_help_exits_zero(capsys):
@@ -223,6 +235,8 @@ def test_help_exits_zero(capsys):
         capsys.readouterr()
     assert run(["--help"]) == 0
     capsys.readouterr()
+    assert run(["dephasing-curves", "--help"]) == 0
+    assert "grid points on [0, 1/2]" in capsys.readouterr().out
 
 
 def test_byte_identical_reruns(capsys):

@@ -134,6 +134,17 @@ def test_classical_h0_cond():
     assert classical_h0_cond(prod) == 1.0
 
 
+def test_support_rules_exact_for_tables_rank_rule_for_spectra():
+    # a classical atom counts whenever it is > 0, however small
+    table = ClassicalJoint(3, 1, np.array([[0.6], [0.4], [1e-300]]))
+    assert classical_h0_cond(table) == math.log2(3)
+    assert classical_smooth_h0_cond(table, 0.0) == math.log2(3)
+    # a branch eigenvalue at or below 1e-9 * max(lmax, 1) is rank noise
+    s = cq([(0.5, dm([1.0 - 1e-12, 1e-12])), (0.5, dm([1.0, 0.0]))])
+    assert h0_cond_cq(s) == 0.0
+    assert smooth_h0_cond_cq(s, 0.0) == 0.0
+
+
 def test_classical_smooth_h0_single_column():
     col = ClassicalJoint(4, 1, np.array([[0.5], [0.3], [0.15], [0.05]]))
     assert classical_smooth_h0_cond(col, 0.0) == classical_h0_cond(col)
