@@ -37,13 +37,9 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class ConverseParams:
-    """Rate and slack parameters of a strong-converse evaluation.
+    """Slack parameters of a strong-converse evaluation: coding at rate
+    ``ec + delta2`` for an entanglement-cost stand-in ``ec``."""
 
-    ``rate`` is the code rate in qubits per use; callers pair it with an
-    entanglement-cost stand-in ``ec`` as ``rate = ec + delta2``.
-    """
-
-    rate: float
     delta1: float
     delta2: float
     dim_in: int
@@ -53,8 +49,6 @@ class ConverseParams:
     def __post_init__(self):
         if not self.delta2 > self.delta1 > 0.0:
             raise ValueError("need delta2 > delta1 > 0")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
         if self.n < 1:
             raise ValueError("blocklength n must be at least 1")
         if self.dim_in < 1 or self.dim_out < 1:
@@ -220,7 +214,7 @@ def simulation_error(n: int, delta1: float, dim_a: int, dim_b: int) -> float:
         raise ValueError("delta1 must be nonnegative")
     if dim_a < 1 or dim_b < 1:
         raise ValueError("dimensions must be positive")
-    log2_val = (dim_a * dim_a - 1) * math.log2(n + 1.0) \
+    log2_val = postselection_factor_log2(n, dim_a) \
         - n * delta1 * delta1 / (8.0 * math.log2(dim_b + 3.0) ** 2)
     if log2_val > 1023.0:
         return math.inf

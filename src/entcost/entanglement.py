@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CQState, _log2_support, _smooth_support, binary_h
+from .entropy import CQState, _entropy_from_eigs, _log2_support, _smooth_support, binary_h
 from .linalg import (
     RANK_RTOL,
     DensityMatrix,
@@ -85,29 +85,10 @@ def _marginal(vecs: np.ndarray, da: int, db: int) -> np.ndarray:
     return m if da <= db else np.swapaxes(m, -1, -2)
 
 
-def _gram_spectra(g: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, clipped at 0, of PSD grams (..., n, n).
-
-    Closed form for n <= 2, one batched ``eigvalsh`` otherwise.
-    """
-    n = g.shape[-1]
-    if n == 1:
-        return np.maximum(g[..., 0, :].real, 0.0)
-    if n == 2:
-        a, d = g[..., 0, 0].real, g[..., 1, 1].real
-        mid, rad = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(g[..., 0, 1]))
-        return np.stack((np.maximum(mid - rad, 0.0), mid + rad), axis=-1)
-    return np.clip(np.linalg.eigvalsh(g), 0.0, None)
-
-
 def _schmidt_sq(vecs: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Squared Schmidt coefficients (..., min(da, db)) of unnormalized vectors."""
-    m = _marginal(vecs, da, db)
-    return _gram_spectra(m @ _dag(m))
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    return x * np.log2(np.where(x > 0.0, x, 1.0))
+    """Squared Schmidt coefficients (..., min(da, db)) of unnormalized vectors,
+    descending, from one batched SVD of their coefficient matrices."""
+    return np.linalg.svd(vecs.reshape(vecs.shape[:-1] + (da, db)), compute_uv=False) ** 2
 
 
 def eof_pure(psi: PureState) -> float:
@@ -115,7 +96,7 @@ def eof_pure(psi: PureState) -> float:
     if len(psi.dims) != 2:
         raise ValueError(f"expected a bipartite state, got dims {psi.dims}")
     sq = _schmidt_sq(psi.vec, *psi.dims)
-    return float(_xlog2x(sq.sum()) - _xlog2x(sq).sum())
+    return _entropy_from_eigs(sq / sq.sum())
 
 
 @dataclass(frozen=True)
@@ -356,8 +337,10 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if sweeps < 1:
+        raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    vals, w = search.descend(search.start(restarts, seed), 10 * max(1, sweeps),
+    vals, w = search.descend(search.start(restarts, seed), 10 * sweeps,
                              search.eof_gradient)
     top = np.argsort(vals, kind="stable")[:3]
     vals[top], w[top] = search.descend(w[top], 1000, search.eof_gradient)

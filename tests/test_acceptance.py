@@ -211,8 +211,7 @@ def test_criterion_07_strong_converse_formulas():
     ec1 = ec.ec1_qubit(ec.dephasing(0.25))
     vals = []
     for n in (100, 1000, 10_000, 100_000):
-        p = ec.ConverseParams(rate=ec1 + 1.5, delta1=1.0, delta2=1.5,
-                              dim_in=2, dim_out=2, n=n)
+        p = ec.ConverseParams(delta1=1.0, delta2=1.5, dim_in=2, dim_out=2, n=n)
         vals.append(ec.strong_converse_error_bound(p, ec1))
     assert all(b >= a for a, b in zip(vals, vals[1:])), vals
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)

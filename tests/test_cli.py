@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_strong_converse_channel(capsys):
     assert payload["error_lower_bound_raw"] < 0.0
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     # unknown flag -> usage error
     code, _, _ = invoke(capsys, "ec1", "--channel", DEPH, "--bogus")
     assert code == 2
@@ -225,6 +226,14 @@ def test_exit_codes(capsys):
     code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH, "--n", "5",
                           "--restarts", "0")
     assert code == 2 and out == ""
+    # smooth-h0 tables: a malformed one is a usage error, a negative weight numeric
+    for name, text, want in (("header", "a,b,c\n0,0,0.5\n", 2),
+                             ("row", "x,y,p\n0,zz,0.5\n", 2),
+                             ("negative", "x,y,p\n0,0,0.5\n1,0,-0.1\n", 1)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "smooth-h0", "--table", str(path), "--eps", "0")
+        assert code == want and out == "" and "error" in err, name
 
 
 def test_help_exits_zero(capsys):
@@ -262,6 +271,15 @@ def test_byte_identical_reruns(capsys):
 def test_state_schema_errors():
     with pytest.raises(SchemaError):
         state_from_json({"re": [[1.0]]})
+    # a wrong grid is refused before any dim x dim default is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError):
+            state_from_json({"dims": [32, 32], "re": [[1.0]], "im": [[0.0]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     with pytest.raises(SchemaError):
         state_from_json({"dims": [2], "re": [[1.0, 0.0]]})
     with pytest.raises(SchemaError):

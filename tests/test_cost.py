@@ -186,8 +186,7 @@ def test_strong_converse_error_bound_limits():
     ec = binary_h(0.5 + math.sqrt(3) / 4)
     vals = []
     for n in (100, 1000, 10_000, 100_000):
-        p = ConverseParams(rate=ec + 1.5, delta1=1.0, delta2=1.5,
-                           dim_in=2, dim_out=2, n=n)
+        p = ConverseParams(delta1=1.0, delta2=1.5, dim_in=2, dim_out=2, n=n)
         vals.append(strong_converse_error_bound(p, ec))
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 0.0  # vacuous at small n, not clamped
@@ -196,14 +195,12 @@ def test_strong_converse_error_bound_limits():
 
 def test_converse_params_validation():
     with pytest.raises(ValueError):
-        ConverseParams(rate=1.0, delta1=0.2, delta2=0.2, dim_in=2, dim_out=2, n=10)
+        ConverseParams(delta1=0.2, delta2=0.2, dim_in=2, dim_out=2, n=10)
     with pytest.raises(ValueError):
-        ConverseParams(rate=1.0, delta1=-0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
+        ConverseParams(delta1=-0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
     with pytest.raises(ValueError):
-        ConverseParams(rate=0.0, delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
-    with pytest.raises(ValueError):
-        ConverseParams(rate=1.0, delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=0)
-    p = ConverseParams(rate=1.0, delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
+        ConverseParams(delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=0)
+    p = ConverseParams(delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
     with pytest.raises(ValueError):
         strong_converse_error_bound(p, -0.5)
 

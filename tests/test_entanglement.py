@@ -118,6 +118,13 @@ def test_eof_pure():
     vec = np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)], dtype=complex)
     assert eof_pure(PureState((2, 2), vec)) == pytest.approx(binary_h(0.2), abs=1e-12)
     assert binary_h(0.2) == pytest.approx(0.721928, abs=1e-6)
+    # one-sided local dimension 1, and the transposed orientation da > db
+    for dims in ((1, 3), (3, 1)):
+        prod = PureState(dims, np.array([0, 1, 0], dtype=complex))
+        assert eof_pure(prod) == pytest.approx(0.0, abs=1e-12)
+    vec = np.zeros(6, dtype=complex)
+    vec[0], vec[3] = np.sqrt(0.8), np.sqrt(0.2)  # |00> and |11> on dims (3, 2)
+    assert eof_pure(PureState((3, 2), vec)) == pytest.approx(binary_h(0.2), abs=1e-12)
 
 
 def test_eof_continuity_bound():
@@ -237,6 +244,8 @@ def test_eof_numeric_range_checks():
         eof_numeric(rho, max_items=5)  # above rank squared
     with pytest.raises(ValueError):
         eof_numeric(random_density_matrix((7, 7), 2, rng))  # dimension cap
+    with pytest.raises(ValueError):
+        eof_numeric(rho, sweeps=0)
 
 
 def test_eof_numeric_decomposition_consistency():
