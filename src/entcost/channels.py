@@ -1,9 +1,12 @@
 """Quantum channel representations and the standard qubit noise models.
 
-Channels live in Kraus form; the Choi state uses the normalized convention
-``(E (x) I)(phi)`` with ``phi`` maximally entangled, so it is a density
-matrix on ``[dim_out, dim_in]`` (output factor first) and feeds directly
-into the two-qubit concurrence machinery.
+Channels live in Kraus form; :func:`apply` and :func:`choi` each contract
+the stacked Kraus operators once, with no Kronecker-lifted copies.  The Choi
+state is the Kraus gram ``J = sum_k vec(K_k) vec(K_k)^H / dim_in`` with
+``vec`` the row-major flattening, which equals the normalized
+``(E (x) I)(phi)`` for ``phi`` maximally entangled.  It is a density matrix
+on ``[dim_out, dim_in]`` (output factor first) and feeds directly into the
+two-qubit concurrence machinery.
 """
 
 from __future__ import annotations
@@ -89,40 +92,32 @@ class ChoiState:
         object.__setattr__(self, "dim_out", dout)
 
 
-def _lifted_kraus(ch: KrausChannel, anc_dim: int) -> list[np.ndarray]:
-    if anc_dim == 1:
-        return list(ch.kraus)
-    eye = np.eye(anc_dim)
-    return [np.kron(k, eye) for k in ch.kraus]
-
-
-def apply_mat(ch: KrausChannel, mat: np.ndarray, anc_dim: int = 1) -> np.ndarray:
-    """Apply the channel (tensored with an ancilla identity) to a raw matrix."""
-    out = None
-    for k in _lifted_kraus(ch, anc_dim):
-        term = k @ mat @ k.conj().T
-        out = term if out is None else out + term
-    return out
-
-
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel to subsystem 0 of ``rho``; other factors pass through."""
-    if rho.dims[0] != ch.dim_in:
+    """Apply the channel to subsystem 0 of ``rho``; other factors pass through.
+
+    ``out[oa, pb] = sum_k sum_ij K_k[o, i] rho[ia, jb] conj(K_k[p, j])``, with
+    ``a, b`` the ancilla (all other factors): one matmul for the left factor
+    of every Kraus operator, one tensordot for the right factor and the sum.
+    """
+    din, dout = ch.dim_in, ch.dim_out
+    if rho.dims[0] != din:
         raise ValueError(
-            f"channel input dimension {ch.dim_in} does not match subsystem 0 of {rho.dims}")
-    anc = int(np.prod(rho.dims[1:])) if len(rho.dims) > 1 else 1
-    out = apply_mat(ch, rho.mat, anc)
-    return DensityMatrix((ch.dim_out,) + rho.dims[1:], out,
+            f"channel input dimension {din} does not match subsystem 0 of {rho.dims}")
+    anc = rho.dim // din
+    ks = np.stack(ch.kraus)
+    left = (ks.reshape(-1, din) @ rho.mat.reshape(din, -1)).reshape(
+        len(ks), dout * anc, din, anc)
+    out = np.tensordot(left, ks.conj(), axes=([0, 2], [0, 2]))   # [oa, b, p]
+    return DensityMatrix((dout,) + rho.dims[1:],
+                         out.transpose(0, 2, 1).reshape(dout * anc, dout * anc),
                          subnormalized=rho.subnormalized)
 
 
 def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state (E (x) I)(phi) with phi maximally entangled on the input."""
-    d = ch.dim_in
-    vec = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    phi = np.outer(vec, vec.conj())
-    mat = apply_mat(ch, phi, anc_dim=d)
-    return ChoiState(d, ch.dim_out, DensityMatrix((ch.dim_out, d), mat))
+    """Choi state: the gram of the row-major Kraus vectors, each over sqrt(dim_in)."""
+    vecs = np.stack(ch.kraus).reshape(len(ch.kraus), -1) / np.sqrt(ch.dim_in)
+    mat = np.einsum("ka,kb->ab", vecs, vecs.conj())
+    return ChoiState(ch.dim_in, ch.dim_out, DensityMatrix((ch.dim_out, ch.dim_in), mat))
 
 
 def identity(d: int = 2) -> KrausChannel:
@@ -191,6 +186,11 @@ QUBIT_FAMILIES = {
     "amplitude_damping": (amplitude_damping, "r"),
 }
 
+# Channel types that teleportation with the Choi state J simulates, so that
+# E_C(N) <= E_C(J) <= E_F(J) = ec1 holds for them.  Amplitude damping and
+# general Kraus channels are not covered by this argument.
+TELEPORTATION_COVERED = frozenset({"identity", "dephasing", "depolarizing"})
+
 
 def channel_from_json(obj) -> KrausChannel:
     """Build a channel from its wire-format description.
@@ -209,7 +209,7 @@ def channel_from_json(obj) -> KrausChannel:
     kind = obj.get("type")
     if kind == "identity":
         d = obj.get("d")
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise SchemaError("identity channel needs a positive integer 'd'")
         if d * d > MAX_CHANNEL_DIM:
             raise SchemaError(f"identity dimension {d} exceeds the supported range")
@@ -225,7 +225,8 @@ def channel_from_json(obj) -> KrausChannel:
     if kind == "kraus":
         din, dout = obj.get("dim_in"), obj.get("dim_out")
         ops = obj.get("ops")
-        if not isinstance(din, int) or not isinstance(dout, int) or din < 1 or dout < 1:
+        if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
+                   for x in (din, dout)):
             raise SchemaError("kraus channel needs positive integer dim_in and dim_out")
         if din * dout > MAX_CHANNEL_DIM:
             raise SchemaError("dim_in * dim_out exceeds the supported range")

@@ -18,7 +18,13 @@ import sys
 import numpy as np
 
 from . import cost
-from .channels import QUBIT_FAMILIES, SchemaError, channel_from_json, choi
+from .channels import (
+    QUBIT_FAMILIES,
+    TELEPORTATION_COVERED,
+    SchemaError,
+    channel_from_json,
+    choi,
+)
 from .entanglement import (
     Decomposition,
     concurrence_2q,
@@ -85,7 +91,8 @@ def state_from_json(obj) -> DensityMatrix:
         raise SchemaError("state description must be a JSON object")
     dims = obj.get("dims")
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
+                       for d in dims)):
         raise SchemaError("state needs a 'dims' list of positive integers")
     dim = 1
     for d in dims:
@@ -198,11 +205,19 @@ def _emit_curve(rows: list[cost.CurveSample], pname: str, fmt: str, **head) -> s
 def _cmd_security_region(args) -> str:
     rows = cost.security_region(args.family, _grid(args.points, 1.0))
     return _emit_curve(rows, QUBIT_FAMILIES[args.family][1], args.format,
-                       family=args.family)
+                       family=args.family,
+                       threshold_proven=args.family in TELEPORTATION_COVERED)
 
 
 def _cmd_dephasing_curves(args) -> str:
     return _emit_curve(cost.dephasing_curves(_grid(args.points, 0.5)), "p", args.format)
+
+
+_RATE_NOTE_COVERED = "rate = ec1 + delta2 >= true entanglement cost + delta2"
+_RATE_NOTE_UNCOVERED = (
+    "rate = ec1 + delta2 is not shown to bound the true entanglement cost + delta2:"
+    " E_C(N) <= E_F(J) for the Choi state J is not established for this channel"
+    " type, and outside 2->2 a heuristic ec1 may also undershoot")
 
 
 def _cmd_strong_converse(args) -> str:
@@ -217,7 +232,8 @@ def _cmd_strong_converse(args) -> str:
         })
     if args.channel is None:
         raise SchemaError("strong-converse needs --channel or --identity")
-    ch = parse_channel(args.channel)
+    desc = _parse_json_arg(args.channel, "--channel")
+    ch = channel_from_json(desc)
     ec1, certified = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
     params = cost.ConverseParams(delta1=args.delta1, delta2=args.delta2,
                                  dim_in=ch.dim_in, dim_out=ch.dim_out, n=args.n)
@@ -230,7 +246,8 @@ def _cmd_strong_converse(args) -> str:
         "ec1": ec1,
         "ec1_certified": certified,
         "rate": ec1 + args.delta2,
-        "rate_note": "rate = ec1 + delta2 >= true entanglement cost + delta2",
+        "rate_note": (_RATE_NOTE_COVERED if desc["type"] in TELEPORTATION_COVERED
+                      else _RATE_NOTE_UNCOVERED),
         "simulation_error": cost.simulation_error(args.n, args.delta1,
                                                   ch.dim_in, ch.dim_out),
         "error_lower_bound": max(0.0, raw),

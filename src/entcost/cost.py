@@ -130,12 +130,12 @@ def security_threshold(ch: KrausChannel) -> float:
 
     The threshold is proven where ec1 upper-bounds the entanglement cost of
     the storage channel N.  Teleportation with the Choi state J gives
-    ``E_C(N) <= E_C(J) <= E_F(J) = ec1`` for channels it simulates, the
-    dephasing and depolarizing families; that argument does not cover other
-    qubit channels, amplitude damping among them.  Returns ``math.inf`` (the
-    unbounded marker) when the single-letter bound is zero, i.e. for
-    entanglement-breaking storage noise, where security holds at every
-    storage rate.
+    ``E_C(N) <= E_C(J) <= E_F(J) = ec1`` for channels it simulates, the types
+    listed in :data:`entcost.channels.TELEPORTATION_COVERED`; that argument
+    does not cover other qubit channels, amplitude damping among them.
+    Returns ``math.inf`` (the unbounded marker) when the single-letter bound
+    is zero, i.e. for entanglement-breaking storage noise, where security
+    holds at every storage rate.
     """
     return _nu_max(ec1_qubit(ch))
 
@@ -143,9 +143,10 @@ def security_threshold(ch: KrausChannel) -> float:
 def security_region(family: str, grid: Sequence[float]) -> list[CurveSample]:
     """Security boundary nu_max(param) = 1/(2 ec1) for one channel family.
 
-    Proven for ``dephasing`` and ``depolarizing`` through teleportation with
-    the Choi state (see :func:`security_threshold`); the
-    ``amplitude_damping`` rows are not covered by that argument.
+    Proven for the families in :data:`entcost.channels.TELEPORTATION_COVERED`
+    (dephasing and depolarizing) through teleportation with the Choi state
+    (see :func:`security_threshold`); the ``amplitude_damping`` rows are not
+    covered by that argument.
     """
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")

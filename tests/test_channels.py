@@ -67,6 +67,32 @@ def test_apply_preserves_trace_and_positivity():
         assert np.linalg.eigvalsh(out.mat)[0] > -1e-9
 
 
+def _lifted_reference(ch, mat, anc):
+    """sum_k (K_k (x) I_anc) mat (K_k (x) I_anc)^H, the Kronecker-lifted formula."""
+    out = 0
+    for k in ch.kraus:
+        lifted = np.kron(k, np.eye(anc))
+        out = out + lifted @ mat @ lifted.conj().T
+    return out
+
+
+def test_kraus_contraction_matches_lifted_reference():
+    rng = np.random.default_rng(12)
+    for din, dout in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
+        for count in range(-(-din // dout), 4):   # isometries need count * dout >= din
+            ch = random_channel(din, dout, count, rng)
+            phi = np.eye(din).reshape(-1) / np.sqrt(din)
+            want = _lifted_reference(ch, np.outer(phi, phi), din)
+            np.testing.assert_allclose(choi(ch).state.mat, want, rtol=0, atol=1e-13)
+            for anc in (1, 2, 3):
+                dims = (din,) if anc == 1 else (din, anc)
+                rho = random_density_matrix(dims, din * anc, rng)
+                out = apply(ch, rho)
+                assert out.dims == (dout,) + dims[1:]
+                np.testing.assert_allclose(out.mat, _lifted_reference(ch, rho.mat, anc),
+                                           rtol=0, atol=1e-13)
+
+
 def test_apply_dimension_mismatch():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
@@ -186,6 +212,8 @@ def test_channel_json_schema_errors():
         {"type": "dephasing", "p": 1.5},
         {"type": "kraus", "dim_in": 2, "dim_out": 2, "ops": []},
         {"type": "kraus", "dim_in": 2, "dim_out": 2, "ops": [[[1, 0]]]},
+        {"type": "kraus", "dim_in": True, "dim_out": True, "ops": [[[1, 0]]]},
+        {"type": "identity", "d": True},
         ["not", "a", "dict"],
     ):
         with pytest.raises(SchemaError):

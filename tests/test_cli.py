@@ -183,6 +183,39 @@ def test_strong_converse_channel(capsys):
     assert payload["error_lower_bound_raw"] < 0.0
 
 
+def test_strong_converse_rate_note(capsys):
+    covered = "rate = ec1 + delta2 >= true entanglement cost + delta2"
+    uncovered = ("rate = ec1 + delta2 is not shown to bound the true entanglement cost"
+                 " + delta2: E_C(N) <= E_F(J) for the Choi state J is not established"
+                 " for this channel type, and outside 2->2 a heuristic ec1 may also"
+                 " undershoot")
+    z, o = [0, 0], [1, 0]
+    for channel, note in (('{"type":"identity","d":2}', covered),
+                          (DEPH, covered),
+                          ('{"type":"depolarizing","r":0.3}', covered),
+                          ('{"type":"amplitude_damping","r":0.5}', uncovered),
+                          (json.dumps({"type": "kraus", "dim_in": 2, "dim_out": 2,
+                                       "ops": [[o, z, z, o]]}), uncovered)):
+        code, out, _ = invoke(capsys, "strong-converse", "--channel", channel, "--n", "5")
+        assert code == 0
+        assert json.loads(out)["rate_note"] == note, channel
+
+
+def test_security_region_threshold_label(capsys):
+    for family, proven in (("dephasing", True), ("depolarizing", True),
+                           ("amplitude_damping", False)):
+        code, out, _ = invoke(capsys, "security-region", "--family", family,
+                              "--points", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["threshold_proven"] is proven
+        assert list(payload) == ["family", "threshold_proven", "rows"]
+        # the CSV form carries rows only
+        code, out, _ = invoke(capsys, "security-region", "--family", family,
+                              "--points", "3", "--format", "csv")
+        assert code == 0 and "threshold_proven" not in out
+
+
 def test_exit_codes(capsys, tmp_path):
     # unknown flag -> usage error
     code, _, _ = invoke(capsys, "ec1", "--channel", DEPH, "--bogus")
@@ -193,6 +226,13 @@ def test_exit_codes(capsys, tmp_path):
     # schema violation -> usage error
     code, _, _ = invoke(capsys, "ec1", "--channel", '{"type":"mystery"}')
     assert code == 2
+    # JSON booleans are not dimensions
+    for argv in (("choi", "--channel", '{"type":"identity","d":true}'),
+                 ("ec1", "--channel", '{"type":"kraus","dim_in":true,"dim_out":true,'
+                                      '"ops":[[[1,0]]]}'),
+                 ("entropy", "--state", '{"dims":[true],"re":[[1]]}')):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err, argv
     # completeness violation -> numerical failure
     bad = json.dumps({"type": "kraus", "dim_in": 2, "dim_out": 2,
                       "ops": [[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]})
@@ -271,6 +311,9 @@ def test_byte_identical_reruns(capsys):
 def test_state_schema_errors():
     with pytest.raises(SchemaError):
         state_from_json({"re": [[1.0]]})
+    for dims in ([True], [True, True]):
+        with pytest.raises(SchemaError):
+            state_from_json({"dims": dims, "re": [[1.0]]})
     # a wrong grid is refused before any dim x dim default is built
     tracemalloc.start()
     try:
