@@ -430,7 +430,7 @@ def run(argv: list[str]) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, ValueError) as exc:
+    except (SchemaError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(out)

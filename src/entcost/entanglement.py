@@ -15,7 +15,6 @@ and a heuristic lower bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -184,7 +183,7 @@ class _EnsembleSearch:
     Every size-m decomposition of rho has unnormalized branch vectors
     ``rows = W @ base`` for an m x r isometry W, ``base_j = sqrt(l_j) e_j``.
     Both objectives are spectral sums of the branch marginals, so one
-    gradient engine serves them: :meth:`descend` steps stacked restarts of W
+    gradient engine serves them: :func:`_descend` steps stacked restarts of W
     together, with the gradient of the average entropy
     (:meth:`eof_gradient`) or of the smooth max-entropy tiebreak
     (:meth:`smooth_gradient`).
@@ -250,9 +249,9 @@ class _EnsembleSearch:
         log = np.log2(np.where(keep, lam, 1.0) / np.where(keep, p, 1.0))
         return -(lam * log).sum(axis=(-2, -1)), self._tangent(w, mat, vec, -log)
 
-    def smooth_gradient(self, w: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Smooth scores ``2 support + excess`` (R,) of mixings w at budget
-        delta and the Riemannian gradients of their excess.
+    def smooth_gradient(self, w: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
+        """Smooth scores ``2 support + excess`` (R,) of mixings w at budgets
+        delta (scalar or (R,)) and the Riemannian gradients of their excess.
 
         The score orders (support, excess) lexicographically because the
         excess lies in [0, 1].  Support is counted on the raw spectra.  The
@@ -266,39 +265,6 @@ class _EnsembleSearch:
         cut = np.where(support > 0, lam.shape[-1] + 1 - support, 0)
         weight = np.arange(lam.shape[-1]) < cut[:, None, None]  # (R, 1, n), broadcast
         return 2.0 * support + excess, self._tangent(w, mat, vec, weight)
-
-    def descend(self, w: np.ndarray, steps: int, objective) -> tuple[np.ndarray, np.ndarray]:
-        """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
-
-        ``objective`` maps mixings to their values (R,) and Riemannian
-        gradients.  Each of the ``steps`` batched evaluations tries every
-        live restart's Barzilai-Borwein step (long and short alternate, at
-        most 1e3) through a polar retraction and halves it unless it passes
-        the Armijo test (decrease 1e-4 step |g|^2).  A restart stops at a
-        gradient norm below 1e-8 or a step below 1e-10.  Returns the final
-        values (R,) and mixings.
-        """
-        vals, grad = objective(w)
-        step = np.ones(len(w))
-        live = np.arange(len(w))
-        for k in range(steps):
-            gg = _inner(grad, grad)  # squared gradient norms
-            live = live[(gg[live] > 1e-16) & (step[live] >= 1e-10)]
-            if live.size == 0:
-                break
-            u, _, vh = np.linalg.svd(w[live] - step[live, None, None] * grad[live],
-                                     full_matrices=False)
-            trial = u @ vh
-            tv, tg = objective(trial)
-            won = tv <= vals[live] - 1e-4 * step[live] * gg[live]
-            step[live[~won]] *= 0.5
-            acc = live[won]
-            s, y = trial[won] - w[acc], tg[won] - grad[acc]
-            ss = _inner(s, s)
-            sy = np.maximum(_inner(s, y), 1e-3 * ss)  # caps both steps at 1e3
-            step[acc] = ss / sy if k % 2 else sy / np.maximum(_inner(y, y), 1e-3 * sy)
-            w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
-        return vals, w
 
     def smooth_value(self, rows: np.ndarray, delta: float) -> list[float]:
         """Smooth conditional max-entropy of each decomposition in ``rows``
@@ -317,6 +283,42 @@ class _EnsembleSearch:
                 continue
             items.append((p, PureState(self.rho.dims, row / math.sqrt(p))))
         return Decomposition(tuple(items), self.rho)
+
+
+def _descend(w: np.ndarray, steps: int, objective,
+             *per_restart: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
+
+    ``objective(w, *per_restart)`` maps mixings to their values (R,) and
+    Riemannian gradients; the per-restart arrays (R, ...) follow w to the
+    live restarts, so a restart's trajectory depends only on its own rows.
+    Each of the ``steps`` batched evaluations tries every live restart's
+    Barzilai-Borwein step (long and short alternate, at most 1e3) through a
+    polar retraction and halves it unless it passes the Armijo test
+    (decrease 1e-4 step |g|^2).  A restart stops at a gradient norm below
+    1e-8 or a step below 1e-10.  Returns the final values (R,) and mixings.
+    """
+    vals, grad = objective(w, *per_restart)
+    step = np.ones(len(w))
+    live = np.arange(len(w))
+    for k in range(steps):
+        gg = _inner(grad, grad)  # squared gradient norms
+        live = live[(gg[live] > 1e-16) & (step[live] >= 1e-10)]
+        if live.size == 0:
+            break
+        u, _, vh = np.linalg.svd(w[live] - step[live, None, None] * grad[live],
+                                 full_matrices=False)
+        trial = u @ vh
+        tv, tg = objective(trial, *(a[live] for a in per_restart))
+        won = tv <= vals[live] - 1e-4 * step[live] * gg[live]
+        step[live[~won]] *= 0.5
+        acc = live[won]
+        s, y = trial[won] - w[acc], tg[won] - grad[acc]
+        ss = _inner(s, s)
+        sy = np.maximum(_inner(s, y), 1e-3 * ss)  # caps both steps at 1e3
+        step[acc] = ss / sy if k % 2 else sy / np.maximum(_inner(y, y), 1e-3 * sy)
+        w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
+    return vals, w
 
 
 def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
@@ -340,10 +342,9 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    vals, w = search.descend(search.start(restarts, seed), 10 * sweeps,
-                             search.eof_gradient)
+    vals, w = _descend(search.start(restarts, seed), 10 * sweeps, search.eof_gradient)
     top = np.argsort(vals, kind="stable")[:3]
-    vals[top], w[top] = search.descend(w[top], 1000, search.eof_gradient)
+    vals[top], w[top] = _descend(w[top], 1000, search.eof_gradient)
     best = int(np.argmin(vals))
     decomp = search.decomposition(w[best] @ search.base)
     value = eof_cq_conditional(decomp)
@@ -357,16 +358,16 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     """Bounds on the one-shot dilution cost of ``rho`` at error ``eps``.
 
     Searches decompositions minimizing the exact smooth conditional
-    max-entropy of the branch ensemble, once per smoothing budget: ``eps/2``
+    max-entropy of the branch ensemble at two smoothing budgets: ``eps/2``
     for the achievable (upper) side and ``2 sqrt(eps)`` for the converse
-    (lower) side.  The restarts of each budget run together through at most
-    ``_SMOOTH_STEPS`` gradient steps of :meth:`_EnsembleSearch.descend`,
-    scored by (support, excess) with the excess as the tiebreak within a
-    support level.  The search counts support on the raw spectra; the
-    reported values apply the ``RANK_RTOL`` rank rule.  Both bounds are
-    evaluated on the union of all candidate decompositions, and the larger
-    budget can only smooth further, so ``lower <= upper`` holds by
-    construction.
+    (lower) side.  ``restarts`` restarts per budget (streams 0 and 1) run
+    as one batch, each at its own budget, through at most ``_SMOOTH_STEPS``
+    gradient steps of :func:`_descend`, scored by (support, excess) with
+    the excess as the tiebreak within a support level.  The search counts
+    support on the raw spectra; the reported values apply the ``RANK_RTOL``
+    rank rule.  Both bounds are evaluated on the union of all candidate
+    decompositions, and the larger budget can only smooth further, so
+    ``lower <= upper`` holds by construction.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
@@ -375,12 +376,10 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     search = _EnsembleSearch(rho, max_items)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
-    found = []
-    for stream, delta in enumerate((delta_up, delta_low)):
-        _, w = search.descend(search.start(restarts, seed, stream), _SMOOTH_STEPS,
-                              functools.partial(search.smooth_gradient, delta=delta))
-        found.append(w @ search.base)
-    rows = np.concatenate(found)
+    w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
+    _, w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
+                    np.repeat([delta_up, delta_low], restarts))
+    rows = w @ search.base
     upper = search.smooth_value(rows, delta_up)
     best = upper.index(min(upper))
     return OneShotCostBounds(min(search.smooth_value(rows, delta_low)), upper[best],

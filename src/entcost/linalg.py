@@ -268,7 +268,8 @@ def schmidt(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schmidt decomposition of a bipartite pure state.
 
     Returns ``(coeffs, basis_a, basis_b)`` with ``coeffs`` descending and
-    truncated at relative threshold 1e-12, ``basis_a``/``basis_b`` holding the
+    truncated by the package rank rule (:func:`numerical_rank` of their
+    squares, at least one kept), ``basis_a``/``basis_b`` holding the
     matching orthonormal local vectors as columns, and
     ``psi = sum_i coeffs[i] * basis_a[:, i] (x) basis_b[:, i]``.
     """
@@ -277,8 +278,7 @@ def schmidt(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     da, db = psi.dims
     m = psi.vec.reshape(da, db)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > 1e-12 * max(s[0], 1.0))) if s.size else 0
-    r = max(r, 1)
+    r = max(numerical_rank(s * s), 1)
     return s[:r].copy(), u[:, :r].copy(), vh[:r, :].T.copy()
 
 

@@ -266,6 +266,17 @@ def test_exit_codes(capsys, tmp_path):
     code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH, "--n", "5",
                           "--restarts", "0")
     assert code == 2 and out == ""
+    # integers too large for a float are usage errors, not tracebacks
+    huge = str(10 ** 400)
+    for argv in (("constants", "--postselection", "--n", huge),
+                 ("constants", "--postselection", "--dimA", huge),
+                 ("constants", "--epsnet", "--chi", huge, "--eps", "0.1",
+                  "--dimA", "2", "--dimB", "2"),
+                 ("strong-converse", "--identity", "--rate", "2", "--n", huge),
+                 ("strong-converse", "--channel", DEPH, "--n", huge)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+        assert err.count("\n") == 1, argv
     # smooth-h0 tables: a malformed one is a usage error, a negative weight numeric
     for name, text, want in (("header", "a,b,c\n0,0,0.5\n", 2),
                              ("row", "x,y,p\n0,zz,0.5\n", 2),

@@ -226,6 +226,34 @@ def test_eof_numeric_exact_on_lifted_qutrit_states():
         assert -1e-9 <= gap <= 1e-9, (i, gap)
 
 
+def flagged_direct_sum(rng, blocks):
+    """(+)_k p_k rho_k with two-qubit block k on A_k (x) B_k, A_k = B_k =
+    span{2k, 2k+1}, block ranks 1-2 and Dirichlet weights; returns the state
+    and its exact E_F, sum_k p_k E_F(rho_k) from Wootters per block."""
+    d = 2 * blocks
+    weights = rng.dirichlet(np.ones(blocks))
+    mat = np.zeros((d, d, d, d), dtype=complex)
+    exact = 0.0
+    for k, p in enumerate(weights):
+        block = random_density_matrix((2, 2), int(rng.integers(1, 3)), rng)
+        sl = slice(2 * k, 2 * k + 2)
+        mat[sl, sl, sl, sl] = p * block.mat.reshape(2, 2, 2, 2)
+        exact += p * eof_2q(block)
+    return DensityMatrix((d, d), mat.reshape(d * d, d * d)), exact
+
+
+def test_eof_numeric_exact_on_flagged_direct_sums():
+    # With the A_k and the B_k mutually orthogonal, a pure state in the
+    # support has marginal entropy at least the weighted sum of its block
+    # entropies, so E_F adds over the blocks: an exact oracle on 4x4 (two
+    # blocks) and 6x6 (three blocks, total dimension MAX_SEARCH_DIM)
+    cases = [(2, i, 8) for i in range(8)] + [(3, i, 4) for i in range(3)]
+    for blocks, i, restarts in cases:
+        rho, exact = flagged_direct_sum(np.random.default_rng((7000, blocks, i)), blocks)
+        res = eof_numeric(rho, restarts=restarts, seed=i)
+        assert abs(res.value - exact) <= 1e-9, (blocks, i, res.value - exact)
+
+
 def test_eof_numeric_upper_bounds_closed_form():
     rng = np.random.default_rng(17)
     for i in range(5):
@@ -279,6 +307,32 @@ def test_one_shot_classically_correlated_witness():
     for _, psi in b.witness.items:
         coeffs, _, _ = schmidt(psi)
         assert coeffs.size == 1  # product branches certify the bound
+
+
+def test_one_shot_batch_equals_per_budget_search():
+    # one batch of both budgets' restarts gives the bytes of one descent per
+    # budget, since a restart's trajectory depends only on its own rows
+    from entcost.entanglement import _SMOOTH_STEPS, _descend, _EnsembleSearch
+
+    rng = np.random.default_rng(37)
+    for dims in ((2, 3), (3, 3)):
+        rho = random_density_matrix(dims, 3, rng)
+        for eps in (0.01, 0.1):
+            search = _EnsembleSearch(rho, None)
+            deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
+            rows = np.concatenate([
+                _descend(search.start(8, 5, stream), _SMOOTH_STEPS,
+                         functools.partial(search.smooth_gradient, delta=delta))[1]
+                @ search.base
+                for stream, delta in enumerate(deltas)])
+            upper = search.smooth_value(rows, deltas[0])
+            witness = search.decomposition(rows[upper.index(min(upper))])
+            b = one_shot_cost_bounds(rho, eps, seed=5)
+            assert b.upper == min(upper), (dims, eps)
+            assert b.lower == min(search.smooth_value(rows, deltas[1])), (dims, eps)
+            assert len(b.witness.items) == len(witness.items)
+            for (p, psi), (q, phi) in zip(b.witness.items, witness.items):
+                assert p == q and psi.vec.tobytes() == phi.vec.tobytes(), (dims, eps)
 
 
 def test_one_shot_upper_monotone_for_fixed_witness():

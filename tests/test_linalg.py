@@ -223,6 +223,15 @@ def test_schmidt_ratio_state():
     np.testing.assert_allclose(coeffs, [2 / np.sqrt(5), 1 / np.sqrt(5)], atol=1e-12)
 
 
+def test_schmidt_uses_package_rank_rule():
+    # a Schmidt weight counts iff it passes numerical_rank, as in h0 and the
+    # one-shot bounds: 1e-8 does, 1e-10 and 1e-14 do not
+    for weight, want in ((1e-8, 2), (1e-10, 1), (1e-14, 1)):
+        vec = np.array([np.sqrt(1 - weight), 0, 0, np.sqrt(weight)], dtype=complex)
+        coeffs, ba, bb = schmidt(PureState((2, 2), vec))
+        assert coeffs.size == ba.shape[1] == bb.shape[1] == want, weight
+
+
 def test_schmidt_reconstruction_and_normalization():
     rng = np.random.default_rng(29)
     for dims in ((2, 3), (3, 3), (4, 2)):
