@@ -1,4 +1,4 @@
-"""Quantum channel representations and the standard qubit noise models.
+"""Quantum channels: Kraus form, the standard qubit noise models, JSON wire formats.
 
 Channels live in Kraus form; :func:`apply` and :func:`choi` each contract
 the stacked Kraus operators once, with no Kronecker-lifted copies.  The Choi
@@ -6,11 +6,13 @@ state is the Kraus gram ``J = sum_k vec(K_k) vec(K_k)^H / dim_in`` with
 ``vec`` the row-major flattening, which equals the normalized
 ``(E (x) I)(phi)`` for ``phi`` maximally entangled.  It is a density matrix
 on ``[dim_out, dim_in]`` (output factor first) and feeds directly into the
-two-qubit concurrence machinery.
+two-qubit concurrence machinery.  :func:`channel_from_json` and
+:func:`state_from_json` parse the channel and state wire formats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +194,31 @@ QUBIT_FAMILIES = {
 TELEPORTATION_COVERED = frozenset({"identity", "dephasing", "depolarizing"})
 
 
+def _count(x) -> bool:
+    """A JSON positive integer: an int, not a bool, at least 1."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _numbers(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Nested JSON number lists of exactly ``shape`` as a float array.
+
+    Every list length is checked before any number is read, so a wrong shape
+    builds nothing of the declared size.  Booleans and oversized ints fail.
+    """
+    form = "x".join(map(str, shape)) + " array of numbers" if shape else "number"
+    flat = [obj]
+    for n in shape:
+        if not all(isinstance(x, list) and len(x) == n for x in flat):
+            raise SchemaError(f"{what} must be a {form}")
+        flat = [y for x in flat for y in x]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat):
+        raise SchemaError(f"{what} must be a {form}")
+    try:
+        return np.array(flat, dtype=float).reshape(shape)
+    except OverflowError:
+        raise SchemaError(f"{what} holds an integer too large for a float") from None
+
+
 def channel_from_json(obj) -> KrausChannel:
     """Build a channel from its wire-format description.
 
@@ -209,41 +236,41 @@ def channel_from_json(obj) -> KrausChannel:
     kind = obj.get("type")
     if kind == "identity":
         d = obj.get("d")
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        if not _count(d):
             raise SchemaError("identity channel needs a positive integer 'd'")
         if d * d > MAX_CHANNEL_DIM:
             raise SchemaError(f"identity dimension {d} exceeds the supported range")
         return identity(d)
     if isinstance(kind, str) and kind in QUBIT_FAMILIES:
         ctor, key = QUBIT_FAMILIES[kind]
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"{kind} channel needs a numeric '{key}'")
-        if not 0.0 <= float(val) <= 1.0:
+        val = float(_numbers(obj.get(key), (), f"{kind} channel parameter '{key}'"))
+        if not 0.0 <= val <= 1.0:
             raise SchemaError(f"{kind} parameter {val} outside [0, 1]")
-        return ctor(float(val))
+        return ctor(val)
     if kind == "kraus":
         din, dout = obj.get("dim_in"), obj.get("dim_out")
         ops = obj.get("ops")
-        if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
-                   for x in (din, dout)):
+        if not (_count(din) and _count(dout)):
             raise SchemaError("kraus channel needs positive integer dim_in and dim_out")
         if din * dout > MAX_CHANNEL_DIM:
             raise SchemaError("dim_in * dim_out exceeds the supported range")
         if not isinstance(ops, list) or not ops:
             raise SchemaError("kraus channel needs a nonempty 'ops' list")
-        mats = []
-        for op in ops:
-            if not isinstance(op, list) or len(op) != din * dout:
-                raise SchemaError(
-                    f"each operator must list {din * dout} [re, im] entries row-major")
-            entries = []
-            for pair in op:
-                if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                   for x in pair)):
-                    raise SchemaError("operator entries must be [re, im] number pairs")
-                entries.append(complex(pair[0], pair[1]))
-            mats.append(np.array(entries, dtype=complex).reshape(dout, din))
-        return KrausChannel(din, dout, tuple(mats))
+        # each [re, im] pair is one complex128 in memory, signed zeros included
+        pairs = _numbers(ops, (len(ops), dout * din, 2),
+                         "kraus 'ops' (row-major [re, im] pairs)")
+        return KrausChannel(din, dout, tuple(pairs.view(complex).reshape(-1, dout, din)))
     raise SchemaError(f"unknown channel type {kind!r}")
+
+
+def state_from_json(obj) -> DensityMatrix:
+    """Parse {"dims": [...], "re": [[...]], "im": [[...]]} (im optional)."""
+    if not isinstance(obj, dict):
+        raise SchemaError("state description must be a JSON object")
+    dims = obj.get("dims")
+    if not isinstance(dims, list) or not dims or not all(_count(d) for d in dims):
+        raise SchemaError("state needs a 'dims' list of positive integers")
+    dim = math.prod(dims)
+    re = _numbers(obj.get("re"), (dim, dim), "state 're'")
+    im = _numbers(obj["im"], (dim, dim), "state 'im'") if "im" in obj else 0.0
+    return DensityMatrix(tuple(dims), re + 1j * im)

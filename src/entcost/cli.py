@@ -4,8 +4,8 @@ Results go to stdout as JSON (default) or CSV for the curve commands.  Exit
 codes: 0 success, 1 numerical failure (input violates an operator contract
 beyond tolerance), 2 usage or schema error.  All randomized commands take
 ``--seed`` (default 0) and print byte-identical output for a fixed seed.
-Floats are emitted with 12 significant digits; unbounded values serialize as
-the literal string "inf".
+Floats are emitted with 12 significant digits, the same in JSON and CSV;
+unbounded values serialize as the literal string "inf".
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .channels import (
     SchemaError,
     channel_from_json,
     choi,
+    state_from_json,
 )
 from .entanglement import (
     Decomposition,
@@ -45,7 +46,7 @@ from .linalg import DensityMatrix, ValidationError
 
 
 def _fmt_float(x: float):
-    """12-significant-digit float, with infinities as strings."""
+    """12-significant-digit float, with infinities as strings; JSON and CSV print it."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     rounded = float(f"{x:.12g}")
@@ -68,49 +69,6 @@ def _jsonable(obj):
 
 def _emit_json(obj) -> str:
     return json.dumps(_jsonable(obj))
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
-    return str(x)
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
-    return "\n".join(lines)
-
-
-def state_from_json(obj) -> DensityMatrix:
-    """Parse {"dims": [...], "re": [[...]], "im": [[...]]} (im optional)."""
-    if not isinstance(obj, dict):
-        raise SchemaError("state description must be a JSON object")
-    dims = obj.get("dims")
-    if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
-                       for d in dims)):
-        raise SchemaError("state needs a 'dims' list of positive integers")
-    dim = 1
-    for d in dims:
-        dim *= d
-
-    def grid(name, rows):
-        if (not isinstance(rows, list) or len(rows) != dim
-                or not all(isinstance(r, list) and len(r) == dim for r in rows)):
-            raise SchemaError(f"state '{name}' must be a {dim}x{dim} number grid")
-        for r in rows:
-            for x in r:
-                if not isinstance(x, (int, float)) or isinstance(x, bool):
-                    raise SchemaError(f"state '{name}' must contain numbers only")
-        return np.array(rows, dtype=float)
-
-    re = grid("re", obj.get("re"))
-    im = grid("im", obj["im"]) if "im" in obj else 0.0
-    return DensityMatrix(tuple(dims), re + 1j * im)
 
 
 def _parse_json_arg(text: str, what: str):
@@ -197,8 +155,9 @@ def _cmd_ec1(args) -> str:
 def _emit_curve(rows: list[cost.CurveSample], pname: str, fmt: str, **head) -> str:
     """Curve rows as CSV ``pname,<value names>`` or JSON ``{**head, "rows": [...]}``."""
     if fmt == "csv":
-        return _emit_csv([pname, *rows[0].values],
-                         [[r.param, *r.values.values()] for r in rows])
+        return "\n".join([",".join([pname, *rows[0].values])] + [
+            ",".join(str(_fmt_float(x)) for x in (r.param, *r.values.values()))
+            for r in rows])
     return _emit_json({**head, "rows": [{pname: r.param, **r.values} for r in rows]})
 
 
@@ -428,13 +387,20 @@ def run(argv: list[str]) -> int:
     try:
         out = args.func(args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(out)
-    return 0
+        msg, code = str(exc), 1
+    except ValueError as exc:
+        msg, code = str(exc), 2
+    except OverflowError as exc:
+        # name the integer options beyond float range; the seed only keys an RNG
+        huge = [f"--{name.replace('_', '-')}" for name, v in vars(args).items()
+                if type(v) is int and name != "seed" and abs(v) > sys.float_info.max]
+        msg = f"{', '.join(huge)}: integer too large for a float" if huge else str(exc)
+        code = 2
+    else:
+        print(out)
+        return 0
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

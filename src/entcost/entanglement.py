@@ -358,11 +358,12 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     """Bounds on the one-shot dilution cost of ``rho`` at error ``eps``.
 
     Searches decompositions minimizing the exact smooth conditional
-    max-entropy of the branch ensemble at two smoothing budgets: ``eps/2``
-    for the achievable (upper) side and ``2 sqrt(eps)`` for the converse
-    (lower) side.  ``restarts`` restarts per budget (streams 0 and 1) run
-    as one batch, each at its own budget, through at most ``_SMOOTH_STEPS``
-    gradient steps of :func:`_descend`, scored by (support, excess) with
+    max-entropy of the branch ensemble at two L1 budgets on the branch
+    spectra: ``eps/2`` for the achievable (upper) side and ``2 sqrt(eps)``
+    for the converse (lower) side; the metric of ``eps`` itself is open.
+    ``restarts`` restarts per budget (streams 0 and 1) run as one batch,
+    each at its own budget, through at most ``_SMOOTH_STEPS`` gradient
+    steps of :func:`_descend`, scored by (support, excess) with
     the excess as the tiebreak within a support level.  The search counts
     support on the raw spectra; the reported values apply the ``RANK_RTOL``
     rank rule.  Both bounds are evaluated on the union of all candidate

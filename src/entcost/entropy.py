@@ -1,6 +1,6 @@
 """Entropies: von Neumann, log-rank max-entropy H0, and exact smoothing.
 
-All logarithms are base 2.  The smoothing model is trace-distance budget:
+All logarithms are base 2.  The smoothing budget is L1 (trace norm):
 zeroing an eigenvalue (or a classical atom) of size ``lam`` costs exactly
 ``lam``, and for states that are classical on the conditioning system the
 optimal smoothing commutes with the state, which reduces the quantum problem
@@ -22,6 +22,8 @@ from .linalg import (
     numerical_rank,
     partial_trace,
 )
+
+MAX_TABLE_CELLS = 1 << 20   # cells of a dense classical table, read or built
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def smooth_h0_cond_cq(s: CQState, eps: float) -> float:
     Smoothing may be restricted to states sharing the eigenbasis of each
     branch without loss, so minimizing the worst branch rank reduces to the
     classical truncation problem on the table of branch eigenvalues, where
-    zeroing an eigenvalue lam costs exactly lam in trace distance.
+    zeroing an eigenvalue lam costs exactly lam in trace norm (L1).
     """
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
@@ -247,8 +249,8 @@ def aep_check(p: ClassicalJoint, eps: float, n: int) -> AepCheck:
         raise ValueError("aep_check needs eps > 0")
     if abs(p.total() - 1.0) > 1e-9:
         raise ValueError("aep_check expects a normalized table")
-    if n * math.log2(p.nx * p.ny) > 20.0 + 1e-9:
-        raise ValueError("product table would exceed the 20-bit size cap")
+    if n * math.log2(p.nx * p.ny) > math.log2(MAX_TABLE_CELLS) + 1e-9:
+        raise ValueError(f"product table would exceed {MAX_TABLE_CELLS} cells")
     lhs = classical_smooth_h0_cond(product_table(p, n), eps) / n
     rhs = classical_cond_entropy(p) + (
         math.log2(p.nx + 3) * math.sqrt(math.log2(1.0 / (eps * eps))) / math.sqrt(n))
@@ -276,6 +278,8 @@ def classical_joint_from_csv(text: str) -> ClassicalJoint:
         raise ValueError("classical table has no atoms")
     nx = max(a[0] for a in atoms) + 1
     ny = max(a[1] for a in atoms) + 1
+    if nx * ny > MAX_TABLE_CELLS:
+        raise ValueError(f"a {nx} x {ny} table exceeds {MAX_TABLE_CELLS} cells")
     weights = np.zeros((nx, ny))
     for x, y, w in atoms:
         weights[x, y] += w

@@ -203,6 +203,14 @@ def test_channel_json_kraus_form():
         "ops": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
     })
     assert trace_distance(choi(ch).state.mat, choi(identity(2)).state.mat) < 1e-12
+    # each [re, im] pair keeps the sign of its zeros
+    ch = channel_from_json({
+        "type": "kraus", "dim_in": 2, "dim_out": 2,
+        "ops": [[[1.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, 0.0]]],
+    })
+    k = ch.kraus[0]
+    assert np.signbit(k.real).tolist() == [[False, True], [False, False]]
+    assert np.signbit(k.imag).tolist() == [[False, True], [True, False]]
 
 
 def test_channel_json_schema_errors():
@@ -217,6 +225,13 @@ def test_channel_json_schema_errors():
         ["not", "a", "dict"],
     ):
         with pytest.raises(SchemaError):
+            channel_from_json(bad)
+    # an integer too large for a float is a schema error naming its field
+    for bad, field in (
+        ({"type": "dephasing", "p": 10 ** 400}, "'p'"),
+        ({"type": "kraus", "dim_in": 1, "dim_out": 1, "ops": [[[10 ** 400, 0]]]}, "'ops'"),
+    ):
+        with pytest.raises(SchemaError, match=field):
             channel_from_json(bad)
 
 

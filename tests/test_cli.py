@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entcost.cli import run, state_from_json
+from entcost.cli import _emit_curve, run, state_from_json
 from entcost.channels import SchemaError
-from entcost.cost import dephasing_curves
+from entcost.cost import CurveSample, dephasing_curves
 from entcost.entropy import binary_h
 
 DEPH = '{"type":"dephasing","p":0.25}'
@@ -57,6 +57,9 @@ def test_concurrence_and_entropy(capsys):
     assert json.loads(out)["value"] == pytest.approx(-1.0, abs=1e-9)
     code, out, _ = invoke(capsys, "entropy", "--state", CC, "--kind", "h0")
     assert json.loads(out)["value"] == 1.0
+    # the default kind is the von Neumann entropy: 0 on a pure state
+    code, out, _ = invoke(capsys, "entropy", "--state", BELL)
+    assert code == 0 and json.loads(out) == {"kind": "von-neumann", "value": 0}
 
 
 def test_eof_closed_form_and_numeric(capsys):
@@ -103,6 +106,18 @@ def test_dephasing_curves_csv(capsys):
     assert last[0] == 0.5 and last[2] == 0.0
 
 
+def test_csv_cells_print_the_json_values():
+    # |x| in [1e12, 1e16) and -0.0 are where a %.12g cell would differ
+    rows = [CurveSample(1.5e12, {"a": -0.0, "b": 0.1}),
+            CurveSample(2.0, {"a": 1e-7, "b": math.inf}),
+            CurveSample(123456789012.5, {"a": 1.5e15, "b": 1 / 3})]
+    csv = _emit_curve(rows, "x", "csv").splitlines()
+    doc = json.loads(_emit_curve(rows, "x", "json"))
+    assert csv[0] == "x,a,b"
+    assert csv[1:] == [",".join(str(v) for v in row.values()) for row in doc["rows"]]
+    assert csv[1] == "1500000000000,0,0.1"
+
+
 def test_dephasing_curves_full_grid(capsys):
     # ec1 exceeds q_e for p in (0, 0.00183], which a 1001-point grid samples
     rows = dephasing_curves(np.linspace(0.0, 0.5, 1001))
@@ -123,6 +138,10 @@ def test_smooth_h0_table(capsys, tmp_path):
     assert payload["h0"] == 2.0
     # output carries 12 significant digits
     assert payload["smooth_h0"] == pytest.approx(math.log2(3), abs=1e-10)
+    # a 1024 x 1024 table is the largest accepted (2^20 cells)
+    path.write_text("x,y,p\n1023,1023,0.5\n0,0,0.5\n")
+    code, out, _ = invoke(capsys, "smooth-h0", "--table", str(path), "--eps", "0")
+    assert code == 0 and json.loads(out)["h0"] == 0
 
 
 def test_one_shot_cost(capsys):
@@ -181,6 +200,10 @@ def test_strong_converse_channel(capsys):
     payload = json.loads(out)
     assert payload["error_lower_bound"] == 0.0
     assert payload["error_lower_bound_raw"] < 0.0
+    # an unbounded simulation error prints as the string "inf"
+    code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH,
+                          "--delta1", "1e-200", "--n", str(10 ** 300))
+    assert code == 0 and json.loads(out)["simulation_error"] == "inf"
 
 
 def test_strong_converse_rate_note(capsys):
@@ -266,7 +289,7 @@ def test_exit_codes(capsys, tmp_path):
     code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH, "--n", "5",
                           "--restarts", "0")
     assert code == 2 and out == ""
-    # integers too large for a float are usage errors, not tracebacks
+    # integers too large for a float are usage errors that name the option
     huge = str(10 ** 400)
     for argv in (("constants", "--postselection", "--n", huge),
                  ("constants", "--postselection", "--dimA", huge),
@@ -277,10 +300,38 @@ def test_exit_codes(capsys, tmp_path):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
         assert err.count("\n") == 1, argv
-    # smooth-h0 tables: a malformed one is a usage error, a negative weight numeric
+        assert argv[argv.index(huge) - 1] in err, argv
+    # no single option is out of range when only dimA^2 overflows
+    code, out, err = invoke(capsys, "constants", "--postselection",
+                            "--dimA", str(10 ** 200))
+    assert code == 2 and out == "" and err == "error: int too large to convert to float\n"
+    # more usage errors: each raises an exception class that run() maps to 2
+    nine = json.dumps({"type": "kraus", "dim_in": 9, "dim_out": 9, "ops": [[[1, 0]] * 81]})
+    for argv in (("entropy", "--state", "[1, 2]"),
+                 ("smooth-h0", "--table", str(tmp_path / "missing.csv"), "--eps", "0"),
+                 ("one-shot-cost", "--state", CC, "--eps", "abc"),
+                 ("security-region", "--family", "dephasing", "--points", "1"),
+                 ("strong-converse", "--identity", "--n", "3"),
+                 ("strong-converse", "--n", "3"),
+                 ("constants", "--definetti", "--n", "3"),
+                 ("constants", "--epsnet"),
+                 ("eof", "--state", CC, "--numeric", "--restarts", "0"),
+                 ("choi", "--channel", '{"type":"identity","d":9}'),
+                 ("choi", "--channel", nine)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err, argv
+    # smooth-h0 tables: a malformed one or one beyond 2^20 cells is a usage
+    # error, a negative or non-finite weight numeric
     for name, text, want in (("header", "a,b,c\n0,0,0.5\n", 2),
                              ("row", "x,y,p\n0,zz,0.5\n", 2),
-                             ("negative", "x,y,p\n0,0,0.5\n1,0,-0.1\n", 1)):
+                             ("short", "x,y,p\n0,0\n", 2),
+                             ("index", "x,y,p\n-1,0,0.5\n", 2),
+                             ("empty", "x,y,p\n", 2),
+                             ("huge", "x,y,p\n1000000000000000,0,0.5\n0,0,0.5\n", 2),
+                             ("cells", "x,y,p\n1024,1023,0.5\n0,0,0.5\n", 2),
+                             ("negative", "x,y,p\n0,0,0.5\n1,0,-0.1\n", 1),
+                             ("inf", "x,y,p\n0,0,inf\n", 1),
+                             ("nan", "x,y,p\n0,0,nan\n", 1)):
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
         code, out, err = invoke(capsys, "smooth-h0", "--table", str(path), "--eps", "0")
@@ -338,3 +389,5 @@ def test_state_schema_errors():
         state_from_json({"dims": [2], "re": [[1.0, 0.0]]})
     with pytest.raises(SchemaError):
         state_from_json({"dims": [2], "re": [["a", 0.0], [0.0, "b"]]})
+    with pytest.raises(SchemaError, match="'im'"):
+        state_from_json({"dims": [1], "re": [[1]], "im": [[10 ** 400]]})

@@ -78,6 +78,16 @@ def test_ec1_general_qutrit_channel():
     assert est.value >= baseline - 1e-6
 
 
+def test_ec1_general_random_inputs_beat_max_entangled():
+    # a Haar input adds 0.0245 over the maximally entangled one and the walk
+    # another 0.0188; no later search may return less than today's value
+    ch = random_channel(3, 2, 2, np.random.default_rng(52))
+    est = ec1_general(ch)
+    assert not est.certified
+    assert est.value >= 0.762563942662 - 1e-9
+    assert est.value > eof_numeric(choi(ch).state, restarts=8, seed=0).value + 0.04
+
+
 def test_ec1_general_dimension_cap():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
