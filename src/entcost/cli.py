@@ -35,6 +35,7 @@ from .entanglement import (
     one_shot_cost_bounds,
 )
 from .entropy import (
+    MAX_TABLE_CELLS,
     classical_h0_cond,
     classical_joint_from_csv,
     classical_smooth_h0_cond,
@@ -107,8 +108,8 @@ def _decomposition_json(d: Decomposition, value: float) -> dict:
 
 
 def _grid(points: int, stop: float) -> np.ndarray:
-    if points < 2:
-        raise SchemaError("--points must be at least 2")
+    if not 2 <= points <= MAX_TABLE_CELLS:
+        raise SchemaError(f"--points must lie in [2, {MAX_TABLE_CELLS}]")
     return np.linspace(0.0, stop, points)
 
 
@@ -294,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-items", type=int, default=None,
                    help="decomposition size (default min(rank^2, 2 rank))")
     p.add_argument("--tol", type=_float_arg, default=1e-9,
-                   help="'converged' when two restarts end this close to the best")
+                   help="'converged' also when two restarts end this close to the best")
     add_seeded(p, 20)
     p.set_defaults(func=_cmd_eof)
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CQState, _entropy_from_eigs, _log2_support, _smooth_support, binary_h
+from .entropy import (MAX_TABLE_CELLS, CQState, _entropy_from_eigs, _log2_support,
+                      _smooth_support, binary_h)
 from .linalg import (
     RANK_RTOL,
     DensityMatrix,
@@ -171,6 +172,7 @@ class OneShotCostBounds:
 
 
 _SMOOTH_STEPS = 200  # gradient steps per smoothing budget in one_shot_cost_bounds
+_STATIONARY = 1e-16  # squared gradient norm at which a restart is stationary
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^H b) per matrix
@@ -211,6 +213,9 @@ class _EnsembleSearch:
     def start(self, restarts: int, seed: int, stream: int = 0) -> np.ndarray:
         """Mixings (restarts, m, rank): restart 0 is the spectral ensemble
         itself, restart i > 0 a Haar isometry from the stream (seed, stream, i)."""
+        if restarts * self.m * self.rank > MAX_TABLE_CELLS:
+            raise ValueError(f"{restarts} restarts of {self.m} x {self.rank} mixings "
+                             f"exceed {MAX_TABLE_CELLS} array entries")
         u = np.zeros((restarts, self.m, self.rank), dtype=complex)
         u[0, :self.rank] = np.eye(self.rank)
         for i in range(1, restarts):
@@ -285,8 +290,8 @@ class _EnsembleSearch:
         return Decomposition(tuple(items), self.rho)
 
 
-def _descend(w: np.ndarray, steps: int, objective,
-             *per_restart: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
+             certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
 
     ``objective(w, *per_restart)`` maps mixings to their values (R,) and
@@ -296,14 +301,19 @@ def _descend(w: np.ndarray, steps: int, objective,
     Barzilai-Borwein step (long and short alternate, at most 1e3) through a
     polar retraction and halves it unless it passes the Armijo test
     (decrease 1e-4 step |g|^2).  A restart stops at a gradient norm below
-    1e-8 or a step below 1e-10.  Returns the final values (R,) and mixings.
+    1e-8 or a step below 1e-10, or when a kept step leaves it unchanged.
+    With ``certify`` the whole batch stops once its restart of lowest value
+    has a gradient norm below 1e-8.  Returns the final values (R,), mixings
+    and squared gradient norms (R,).
     """
     vals, grad = objective(w, *per_restart)
     step = np.ones(len(w))
     live = np.arange(len(w))
     for k in range(steps):
         gg = _inner(grad, grad)  # squared gradient norms
-        live = live[(gg[live] > 1e-16) & (step[live] >= 1e-10)]
+        if certify and gg[np.argmin(vals)] <= _STATIONARY:
+            break
+        live = live[(gg[live] > _STATIONARY) & (step[live] >= 1e-10)]
         if live.size == 0:
             break
         u, _, vh = np.linalg.svd(w[live] - step[live, None, None] * grad[live],
@@ -316,9 +326,10 @@ def _descend(w: np.ndarray, steps: int, objective,
         s, y = trial[won] - w[acc], tg[won] - grad[acc]
         ss = _inner(s, s)
         sy = np.maximum(_inner(s, y), 1e-3 * ss)  # caps both steps at 1e3
-        step[acc] = ss / sy if k % 2 else sy / np.maximum(_inner(y, y), 1e-3 * sy)
+        num, den = (ss, sy) if k % 2 else (sy, np.maximum(_inner(y, y), 1e-3 * sy))
+        step[acc] = np.divide(num, den, out=np.zeros_like(ss), where=ss > 0)  # not 0/0
         w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
-    return vals, w
+    return vals, w, _inner(grad, grad)
 
 
 def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
@@ -330,25 +341,27 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     isometry W of the spectral ensemble (Audenaert, Verstraete and De Moor,
     PRA 64, 052304 (2001)).  All ``restarts`` are screened together for
     ``10 * sweeps`` gradient steps, then the best three (stable sort) are
-    polished together until their gradient norm or step vanishes (at most
-    1000 steps).  Every evaluated decomposition is feasible and every kept
-    step lowers the value, so the result never exceeds the start nor
-    undershoots the true infimum.  ``converged`` records restart agreement:
-    at least two restarts end within ``tol`` of the best value.  Restart
-    streams (seed, restart index) make it deterministic for a fixed ``seed``.
+    polished together (at most 1000 steps); each phase stops once its best
+    restart is stationary.  Every evaluated decomposition is feasible and
+    every kept step lowers the value, so the result never exceeds the start
+    nor undershoots the true infimum.  ``converged`` means the best restart
+    ends with a gradient norm below 1e-8, or at least two restarts end
+    within ``tol`` of the best value.  Restart streams (seed, restart index)
+    make it deterministic for a fixed ``seed``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    vals, w = _descend(search.start(restarts, seed), 10 * sweeps, search.eof_gradient)
+    vals, w, gg = _descend(search.start(restarts, seed), 10 * sweeps,
+                           search.eof_gradient, certify=True)
     top = np.argsort(vals, kind="stable")[:3]
-    vals[top], w[top] = _descend(w[top], 1000, search.eof_gradient)
+    vals[top], w[top], gg[top] = _descend(w[top], 1000, search.eof_gradient, certify=True)
     best = int(np.argmin(vals))
     decomp = search.decomposition(w[best] @ search.base)
     value = eof_cq_conditional(decomp)
-    converged = bool(np.count_nonzero(vals <= vals[best] + tol) >= 2)
+    converged = bool(gg[best] <= _STATIONARY or np.count_nonzero(vals <= vals[best] + tol) >= 2)
     return EofResult(value, decomp, restarts, converged)
 
 
@@ -378,8 +391,8 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
-    _, w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
-                    np.repeat([delta_up, delta_low], restarts))
+    _, w, _ = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
+                       np.repeat([delta_up, delta_low], restarts))
     rows = w @ search.base
     upper = search.smooth_value(rows, delta_up)
     best = upper.index(min(upper))

@@ -338,6 +338,19 @@ def test_exit_codes(capsys, tmp_path):
         assert code == want and out == "" and "error" in err, name
 
 
+def test_dense_array_cap_is_a_usage_error(capsys):
+    # --points and the start stack restarts * items * rank share the 2^20
+    # cap of a dense table: beyond it one error line, not a memory error
+    huge = str(10 ** 15)
+    for argv in (("eof", "--state", CC, "--numeric", "--restarts", huge),
+                 ("one-shot-cost", "--state", CC, "--eps", "0.1", "--restarts", huge),
+                 ("security-region", "--family", "dephasing", "--points", huge),
+                 ("dephasing-curves", "--points", huge)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+        assert err.count("\n") == 1 and "1048576" in err, argv
+
+
 def test_help_exits_zero(capsys):
     for cmd in ("choi", "concurrence", "eof", "ec1", "security-region",
                 "strong-converse", "dephasing-curves", "entropy", "smooth-h0",

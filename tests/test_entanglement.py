@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,8 +180,54 @@ def test_eof_numeric_pure_state():
     assert res.value == pytest.approx(eof_pure(psi), abs=1e-9)
     assert res.restarts_used == 3
     assert res.converged  # every restart ends at the single decomposition
-    # a lone restart has nothing to agree with
-    assert not eof_numeric(psi.to_density_matrix(), restarts=1, seed=0).converged
+    # a rank-1 state has a single decomposition, so a lone restart is stationary
+    assert eof_numeric(psi.to_density_matrix(), restarts=1, seed=0).converged
+    # a lone restart short of stationary has nothing to agree with
+    rho = random_density_matrix((2, 2), 4, np.random.default_rng(2001))
+    assert not eof_numeric(rho, restarts=1, seed=1).converged
+
+
+def test_eof_numeric_stops_once_the_best_restart_is_stationary(monkeypatch):
+    # criterion-3 state 12: the best restart ends exact while the other two
+    # polished restarts creep on; the search stops at the best one's
+    # certificate instead of the 1000-step cap (1032 evaluations)
+    from entcost.entanglement import _EnsembleSearch
+
+    calls = []
+    gradient = _EnsembleSearch.eof_gradient
+
+    def counted(self, w):
+        calls.append(len(w))
+        return gradient(self, w)
+
+    monkeypatch.setattr(_EnsembleSearch, "eof_gradient", counted)
+    rho = random_density_matrix((2, 2), 4, np.random.default_rng(2012))
+    res = eof_numeric(rho, restarts=20, seed=12)
+    assert res.converged
+    assert -1e-9 <= res.value - eof_2q(rho) <= 1e-8
+    assert len(calls) <= 200, len(calls)
+
+
+def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
+    # a 3x3 output of a 2-Kraus channel at a pure input: descending its top-3
+    # screen output without the certificate stop keeps a step that leaves a
+    # restart bit-identical, where the Barzilai-Borwein step would be 0/0
+    from entcost.entanglement import _descend, _EnsembleSearch
+
+    rng = np.random.default_rng((5, 4012))
+    stine = haar_isometry(6, 3, rng)
+    kraus = [np.kron(stine[3 * j:3 * j + 3], np.eye(3)) for j in range(2)]
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    psi /= np.linalg.norm(psi)
+    out = sum(k @ np.outer(psi, psi.conj()) @ k.conj().T for k in kraus)
+    out = 0.5 * (out + out.conj().T)
+    search = _EnsembleSearch(DensityMatrix((3, 3), out / out.trace().real), None)
+    vals, w = _descend(search.start(8, 12), 30, search.eof_gradient)[:2]
+    top = np.argsort(vals, kind="stable")[:3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        polished = _descend(w[top], 1000, search.eof_gradient)[0]
+    assert np.all(polished <= vals[top])
 
 
 def test_eof_numeric_separable_mixture():
