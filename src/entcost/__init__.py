@@ -4,16 +4,11 @@ from .linalg import (
     DensityMatrix,
     PureState,
     ValidationError,
-    fidelity,
     haar_isometry,
     herm_eig,
     partial_trace,
-    purified_distance,
     random_density_matrix,
     random_pure_state,
-    schmidt,
-    tensor,
-    trace_distance,
     trace_norm,
 )
 from .channels import (
@@ -33,7 +28,6 @@ from .channels import (
 from .entropy import (
     AepCheck,
     ClassicalJoint,
-    CQState,
     aep_check,
     binary_h,
     classical_h0_cond,
@@ -41,8 +35,6 @@ from .entropy import (
     classical_smooth_h0_cond,
     cond_von_neumann,
     h0,
-    h0_cond_cq,
-    smooth_h0_cond_cq,
     von_neumann,
 )
 from .entanglement import (

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import QUBIT_FAMILIES, KrausChannel, apply, choi
 from .entanglement import eof_2q, eof_numeric, max_entangled
-from .entropy import binary_h
+from .entropy import MAX_TABLE_CELLS, binary_h
 from .linalg import PureState, random_pure_state
 
 
@@ -80,7 +80,9 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
     maximum of the decomposition-search entanglement of formation over seeded
     pure inputs (the maximally entangled input is always tried) is returned
     uncertified: the inner value upper-bounds each input's entanglement of
-    formation, but the outer maximization is heuristic.
+    formation, but the outer maximization is heuristic.  The ``restarts``
+    inputs of ``dim_in**2`` entries each share the dense-array cap
+    ``MAX_TABLE_CELLS``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -88,6 +90,9 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
         return Ec1Estimate(ec1_qubit(ch), True)
     if ch.dim_in * ch.dim_out > 16:
         raise ValueError("ec1_general supports dim_in * dim_out <= 16")
+    if restarts * ch.dim_in ** 2 > MAX_TABLE_CELLS:
+        raise ValueError(f"{restarts} restarts of {ch.dim_in ** 2}-entry inputs "
+                         f"exceed {MAX_TABLE_CELLS} array entries")
 
     def value_at(psi):
         out = apply(ch, psi.to_density_matrix())

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (MAX_TABLE_CELLS, CQState, _entropy_from_eigs, _log2_support,
-                      _smooth_support, binary_h)
+from .entropy import (MAX_TABLE_CELLS, _entropy_from_eigs, _log2_support, _smooth_support,
+                      binary_h)
 from .linalg import (
     RANK_RTOL,
     DensityMatrix,
@@ -29,7 +29,6 @@ from .linalg import (
     haar_isometry,
     herm_eig,
     numerical_rank,
-    partial_trace,
     psd_sqrt,
     trace_norm,
 )
@@ -127,11 +126,6 @@ class Decomposition:
             raise ValueError(
                 "decomposition does not reconstruct the target to 1e-8 trace distance")
         object.__setattr__(self, "items", tuple(items))
-
-    def marginal_ensemble(self) -> CQState:
-        """The flagged ensemble (p_i, tr_B psi_i) as a CQ state."""
-        return CQState(tuple((p, partial_trace(psi.to_density_matrix(), keep=0))
-                             for p, psi in self.items))
 
 
 def eof_cq_conditional(d: Decomposition) -> float:
@@ -273,7 +267,7 @@ class _EnsembleSearch:
 
     def smooth_value(self, rows: np.ndarray, delta: float) -> list[float]:
         """Smooth conditional max-entropy of each decomposition in ``rows``
-        (..., m, D), with Schmidt weights up to ``RANK_RTOL`` of their branch
+        (R, m, D), with Schmidt weights up to ``RANK_RTOL`` of their branch
         weight counted as 0 (the package's rank rule)."""
         sq = _schmidt_sq(rows, self.da, self.db)
         sq = np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
@@ -291,7 +285,7 @@ class _EnsembleSearch:
 
 
 def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
-             certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             moved: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
 
     ``objective(w, *per_restart)`` maps mixings to their values (R,) and
@@ -302,17 +296,24 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
     polar retraction and halves it unless it passes the Armijo test
     (decrease 1e-4 step |g|^2).  A restart stops at a gradient norm below
     1e-8 or a step below 1e-10, or when a kept step leaves it unchanged.
-    With ``certify`` the whole batch stops once its restart of lowest value
-    has a gradient norm below 1e-8.  Returns the final values (R,), mixings
-    and squared gradient norms (R,).
+    With a ``moved`` mask (R,), for a nonnegative objective, the whole batch
+    stops once its restart of lowest value has a gradient norm below 1e-8
+    and is marked in ``moved``.  Each accepted step marks its restart in
+    place, and so does a value of 0, the objective's floor: an unmarked
+    start of zero gradient may be a saddle.  Returns the final values (R,),
+    mixings and squared gradient norms (R,).
     """
     vals, grad = objective(w, *per_restart)
+    if moved is not None:
+        moved |= vals <= 0.0
     step = np.ones(len(w))
     live = np.arange(len(w))
     for k in range(steps):
         gg = _inner(grad, grad)  # squared gradient norms
-        if certify and gg[np.argmin(vals)] <= _STATIONARY:
-            break
+        if moved is not None:
+            best = np.argmin(vals)
+            if moved[best] and gg[best] <= _STATIONARY:
+                break
         live = live[(gg[live] > _STATIONARY) & (step[live] >= 1e-10)]
         if live.size == 0:
             break
@@ -329,6 +330,8 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
         num, den = (ss, sy) if k % 2 else (sy, np.maximum(_inner(y, y), 1e-3 * sy))
         step[acc] = np.divide(num, den, out=np.zeros_like(ss), where=ss > 0)  # not 0/0
         w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
+        if moved is not None:
+            moved[acc] = True
     return vals, w, _inner(grad, grad)
 
 
@@ -342,26 +345,34 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     PRA 64, 052304 (2001)).  All ``restarts`` are screened together for
     ``10 * sweeps`` gradient steps, then the best three (stable sort) are
     polished together (at most 1000 steps); each phase stops once its best
-    restart is stationary.  Every evaluated decomposition is feasible and
-    every kept step lowers the value, so the result never exceeds the start
-    nor undershoots the true infimum.  ``converged`` means the best restart
-    ends with a gradient norm below 1e-8, or at least two restarts end
-    within ``tol`` of the best value.  Restart streams (seed, restart index)
-    make it deterministic for a fixed ``seed``.
+    restart is stationary after an accepted step.  Every evaluated
+    decomposition is feasible and every kept step lowers the value, so the
+    result never exceeds the start nor undershoots the true infimum.
+    ``converged`` means the best restart ends with a gradient norm below
+    1e-8 after at least one accepted step, or at least two restarts end
+    within ``tol`` of the best value.  A start of zero gradient, such as the
+    spectral ensemble of a degenerate spectrum, may be a saddle; it counts
+    only at value 0, the floor of E_F, or for a rank-1 state, whose
+    decomposition is unique.  Restart streams (seed, restart index) make it
+    deterministic for a fixed ``seed``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    vals, w, gg = _descend(search.start(restarts, seed), 10 * sweeps,
-                           search.eof_gradient, certify=True)
+    w = search.start(restarts, seed)
+    moved = np.full(restarts, search.rank == 1)  # a rank-1 state has one decomposition
+    vals, w, gg = _descend(w, 10 * sweeps, search.eof_gradient, moved=moved)
     top = np.argsort(vals, kind="stable")[:3]
-    vals[top], w[top], gg[top] = _descend(w[top], 1000, search.eof_gradient, certify=True)
+    polish = moved[top]
+    vals[top], w[top], gg[top] = _descend(w[top], 1000, search.eof_gradient, moved=polish)
+    moved[top] = polish
     best = int(np.argmin(vals))
     decomp = search.decomposition(w[best] @ search.base)
     value = eof_cq_conditional(decomp)
-    converged = bool(gg[best] <= _STATIONARY or np.count_nonzero(vals <= vals[best] + tol) >= 2)
+    converged = bool(moved[best] and gg[best] <= _STATIONARY
+                     or np.count_nonzero(vals <= vals[best] + tol) >= 2)
     return EofResult(value, decomp, restarts, converged)
 
 

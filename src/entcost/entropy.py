@@ -4,7 +4,10 @@ All logarithms are base 2.  The smoothing budget is L1 (trace norm):
 zeroing an eigenvalue (or a classical atom) of size ``lam`` costs exactly
 ``lam``, and for states that are classical on the conditioning system the
 optimal smoothing commutes with the state, which reduces the quantum problem
-to an exact per-column truncation of a classical table.
+to an exact per-column truncation of a classical table (:func:`_smooth_support`).
+For a flagged branch ensemble the columns are the branches' squared Schmidt
+coefficients; ``entanglement._EnsembleSearch.smooth_value`` builds them and
+is the one place that reports that smooth max-entropy.
 """
 
 from __future__ import annotations
@@ -54,51 +57,6 @@ class ClassicalJoint:
 
     def total(self) -> float:
         return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
-class CQState:
-    """Ensemble of states on A indexed by a classical register."""
-
-    branches: tuple[tuple[float, DensityMatrix], ...]
-
-    def __post_init__(self):
-        items = []
-        total = 0.0
-        dims = None
-        for p, rho in self.branches:
-            p = float(p)
-            if p <= 0.0:
-                raise ValidationError("branch weights must be strictly positive")
-            if dims is None:
-                dims = rho.dims
-            elif rho.dims != dims:
-                raise ValueError("all branches must share the same dimensions")
-            total += p * rho.trace()
-            items.append((p, rho))
-        if not items:
-            raise ValueError("a CQ state needs at least one branch")
-        if total > 1.0 + 1e-12:
-            raise ValidationError(f"total branch weight {total} exceeds 1")
-        object.__setattr__(self, "branches", tuple(items))
-
-    @property
-    def branch_dims(self) -> tuple[int, ...]:
-        return self.branches[0][1].dims
-
-    def to_density_matrix(self) -> DensityMatrix:
-        """Block embedding sum_k p_k rho_k (x) |k><k| on dims (dim_A, #branches)."""
-        k = len(self.branches)
-        da = self.branches[0][1].dim
-        mat = np.zeros((da * k, da * k), dtype=complex)
-        total = 0.0
-        for i, (p, rho) in enumerate(self.branches):
-            proj = np.zeros((k, k))
-            proj[i, i] = 1.0
-            mat += p * np.kron(rho.mat, proj)
-            total += p * rho.trace()
-        return DensityMatrix(self.branch_dims + (k,), mat,
-                             subnormalized=total < 1.0 - TRACE_TOL)
 
 
 def binary_h(p: float) -> float:
@@ -184,36 +142,6 @@ def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
     return _log2_support(int(_smooth_support(p.weights, eps)[0]))
-
-
-def _cq_columns(s: CQState) -> np.ndarray:
-    """Eigenvalues of p_k rho_k as table columns, with the eigenvalues that
-    :func:`numerical_rank` does not count set to exact 0."""
-    cols = np.zeros((s.branches[0][1].dim, len(s.branches)))
-    for i, (p, rho) in enumerate(s.branches):
-        w = np.linalg.eigvalsh(rho.mat)[::-1]
-        rank = numerical_rank(w)
-        cols[:rank, i] = p * w[:rank]
-    return cols
-
-
-def h0_cond_cq(s: CQState) -> float:
-    """Conditional max-entropy of a CQ state: the largest branch log-rank,
-    which is the smoothing at budget 0."""
-    return smooth_h0_cond_cq(s, 0.0)
-
-
-def smooth_h0_cond_cq(s: CQState, eps: float) -> float:
-    """Exact smooth conditional max-entropy of a CQ state.
-
-    Smoothing may be restricted to states sharing the eigenbasis of each
-    branch without loss, so minimizing the worst branch rank reduces to the
-    classical truncation problem on the table of branch eigenvalues, where
-    zeroing an eigenvalue lam costs exactly lam in trace norm (L1).
-    """
-    if not eps >= 0.0:
-        raise ValueError(f"smoothing budget {eps} must be nonnegative")
-    return _log2_support(int(_smooth_support(_cq_columns(s), eps)[0]))
 
 
 def classical_cond_entropy(p: ClassicalJoint) -> float:

@@ -122,11 +122,6 @@ class PureState:
         return DensityMatrix(self.dims, np.outer(self.vec, self.vec.conj()))
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor as the slow (major) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _keep_indices(keep, n: int) -> tuple[int, ...]:
     if isinstance(keep, (int, np.integer)):
         keep = (int(keep),)
@@ -231,55 +226,6 @@ def trace_norm(m: np.ndarray) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of the difference."""
-    return 0.5 * trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
-
-
-def _root_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch {rho.dims} vs {sigma.dims}")
-    return trace_norm(psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat))
-
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Root fidelity || sqrt(rho) sqrt(sigma) ||_1, in [0, 1] for states."""
-    val = _root_fidelity(rho, sigma)
-    return float(min(val, 1.0)) if not (rho.subnormalized or sigma.subnormalized) else float(val)
-
-
-def purified_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Metric sqrt(1 - Fbar^2) on subnormalized states.
-
-    ``Fbar`` is the generalized fidelity: the root fidelity plus
-    ``sqrt((1 - tr rho)(1 - tr sigma))``, which reduces to the plain fidelity
-    when either state is normalized.
-    """
-    f = _root_fidelity(rho, sigma)
-    gap_r = max(0.0, 1.0 - rho.trace())
-    gap_s = max(0.0, 1.0 - sigma.trace())
-    fbar = f + np.sqrt(gap_r * gap_s)
-    return float(np.sqrt(max(0.0, 1.0 - fbar * fbar)))
-
-
-def schmidt(psi: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a bipartite pure state.
-
-    Returns ``(coeffs, basis_a, basis_b)`` with ``coeffs`` descending and
-    truncated by the package rank rule (:func:`numerical_rank` of their
-    squares, at least one kept), ``basis_a``/``basis_b`` holding the
-    matching orthonormal local vectors as columns, and
-    ``psi = sum_i coeffs[i] * basis_a[:, i] (x) basis_b[:, i]``.
-    """
-    if len(psi.dims) != 2:
-        raise ValueError(f"expected a bipartite state, got dims {psi.dims}")
-    da, db = psi.dims
-    m = psi.vec.reshape(da, db)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = max(numerical_rank(s * s), 1)
-    return s[:r].copy(), u[:, :r].copy(), vh[:r, :].T.copy()
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

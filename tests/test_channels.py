@@ -21,8 +21,12 @@ from entcost.linalg import (
     ValidationError,
     partial_trace,
     random_density_matrix,
-    trace_distance,
+    trace_norm,
 )
+
+def trace_distance(a, b):
+    return 0.5 * trace_norm(a - b)
+
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)

@@ -339,13 +339,20 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_dense_array_cap_is_a_usage_error(capsys):
-    # --points and the start stack restarts * items * rank share the 2^20
-    # cap of a dense table: beyond it one error line, not a memory error
+    # --points, the start stack restarts * items * rank and the ec1 inputs
+    # restarts * dim_in^2 share the 2^20 cap of a dense table: beyond it one
+    # error line, not a memory error or a loop that never ends
     huge = str(10 ** 15)
+    kraus_3to2 = json.dumps({"type": "kraus", "dim_in": 3, "dim_out": 2, "ops": [
+        [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0]],
+        [[0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]]})
     for argv in (("eof", "--state", CC, "--numeric", "--restarts", huge),
                  ("one-shot-cost", "--state", CC, "--eps", "0.1", "--restarts", huge),
                  ("security-region", "--family", "dephasing", "--points", huge),
-                 ("dephasing-curves", "--points", huge)):
+                 ("dephasing-curves", "--points", huge),
+                 ("ec1", "--channel", kraus_3to2, "--restarts", huge),
+                 ("strong-converse", "--channel", kraus_3to2, "--n", "10",
+                  "--restarts", huge)):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
         assert err.count("\n") == 1 and "1048576" in err, argv

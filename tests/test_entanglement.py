@@ -18,16 +18,15 @@ from entcost.entanglement import (
     max_entangled,
     one_shot_cost_bounds,
 )
-from entcost.entropy import binary_h, smooth_h0_cond_cq
+from entcost.entropy import binary_h
 from entcost.linalg import (
     RANK_RTOL,
     DensityMatrix,
     PureState,
     haar_isometry,
-    purified_distance,
+    numerical_rank,
     random_density_matrix,
     random_pure_state,
-    schmidt,
 )
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -41,6 +40,15 @@ def concurrence_oracle(rho: DensityMatrix) -> float:
     evals = np.sort(np.clip(evals.real, 0.0, None))[::-1]
     roots = np.sqrt(evals)
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def purified_distance(rho: DensityMatrix, sig: DensityMatrix) -> float:
+    """sqrt(1 - F^2) of normalized states, with the root fidelity
+    F = tr sqrt(sqrt(rho) sig sqrt(rho)) from two eigendecompositions."""
+    w, v = np.linalg.eigh(rho.mat)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    f = np.sqrt(np.clip(np.linalg.eigvalsh(root @ sig.mat @ root), 0.0, None)).sum()
+    return math.sqrt(max(0.0, 1.0 - f * f))
 
 
 def bell_dm():
@@ -233,6 +241,8 @@ def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
 def test_eof_numeric_separable_mixture():
     res = eof_numeric(cc_state(), restarts=8, seed=0)
     assert res.value <= 1e-6
+    # a lone restart that starts at E_F's floor 0 is exact without a step
+    assert eof_numeric(cc_state(), restarts=1, seed=0).converged
 
 
 def test_eof_numeric_separable_qutrit_mixture():
@@ -301,6 +311,26 @@ def test_eof_numeric_exact_on_flagged_direct_sums():
         assert abs(res.value - exact) <= 1e-9, (blocks, i, res.value - exact)
 
 
+def werner(d, f):
+    """Werner state ((d - f) I + (d f - 1) F) / (d (d^2 - 1)), F the swap,
+    whose swap expectation is f."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return DensityMatrix((d, d), ((d - f) * np.eye(d * d) + (d * f - 1) * swap)
+                         / (d * (d * d - 1)))
+
+
+def test_eof_numeric_exact_on_werner_states():
+    # E_F = h(1/2 - sqrt(1 - f^2) / 2) for f < 0 (Vollbrecht and Werner,
+    # PRA 64, 062307 (2001)).  The degenerate spectrum makes restart 0, the
+    # spectral ensemble, a saddle of zero gradient and the lowest start: it
+    # may neither stop the search nor count as converged
+    for d, f in ((3, -0.9), (3, -0.5), (3, -0.1), (4, -0.5)):
+        res = eof_numeric(werner(d, f), restarts=8, seed=1)
+        gap = res.value - binary_h(0.5 - math.sqrt(1 - f * f) / 2)
+        assert abs(gap) <= 1e-8, (d, f, gap)
+    assert not eof_numeric(werner(3, -0.5), restarts=1, seed=1).converged
+
+
 def test_eof_numeric_upper_bounds_closed_form():
     rng = np.random.default_rng(17)
     for i in range(5):
@@ -352,8 +382,8 @@ def test_one_shot_classically_correlated_witness():
     assert b.upper == 0.0
     assert b.lower <= b.upper
     for _, psi in b.witness.items:
-        coeffs, _, _ = schmidt(psi)
-        assert coeffs.size == 1  # product branches certify the bound
+        sq = np.linalg.svd(psi.vec.reshape(2, 2), compute_uv=False) ** 2
+        assert numerical_rank(sq) == 1  # product branches certify the bound
 
 
 def test_one_shot_batch_equals_per_budget_search():
@@ -383,11 +413,15 @@ def test_one_shot_batch_equals_per_budget_search():
 
 
 def test_one_shot_upper_monotone_for_fixed_witness():
+    from entcost.entanglement import _EnsembleSearch
+
     rng = np.random.default_rng(29)
     rho = random_density_matrix((2, 2), 3, rng)
     b = one_shot_cost_bounds(rho, 0.1, restarts=4, seed=0)
-    ens = b.witness.marginal_ensemble()
-    vals = [smooth_h0_cond_cq(ens, e) for e in (0.0, 0.05, 0.1, 0.3, 0.6)]
+    rows = np.array([[math.sqrt(p) * psi.vec for p, psi in b.witness.items]])
+    search = _EnsembleSearch(rho, None)
+    vals = [search.smooth_value(rows, e)[0] for e in (0.0, 0.05, 0.1, 0.3, 0.6)]
+    assert vals[1] == b.upper  # the upper bound smooths at eps / 2
     assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
 

@@ -9,7 +9,6 @@ import pytest
 from entcost.entropy import (
     AepCheck,
     ClassicalJoint,
-    CQState,
     aep_check,
     binary_h,
     classical_cond_entropy,
@@ -18,17 +17,16 @@ from entcost.entropy import (
     classical_smooth_h0_cond,
     cond_von_neumann,
     h0,
-    h0_cond_cq,
     product_table,
-    smooth_h0_cond_cq,
     von_neumann,
 )
+from entcost.entanglement import _EnsembleSearch, eof_cq_conditional, one_shot_cost_bounds
 from entcost.linalg import (
+    RANK_RTOL,
     DensityMatrix,
     ValidationError,
     haar_isometry,
     random_density_matrix,
-    tensor,
 )
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -62,8 +60,25 @@ def brute_force_smooth_h0(weights: np.ndarray, eps: float) -> float:
     return math.log2(best)
 
 
-def cq(branches):
-    return CQState(tuple(branches))
+def flagged_rows(branches):
+    """Rows sqrt(p_k lam_ki) |ii> (k, n^2) of the flagged ensemble whose branch
+    k, of weight p_k, has marginal spectrum lam_k on A (n = len(lam_k))."""
+    return np.array([np.diag(np.sqrt(p * np.asarray(lam, dtype=float))).reshape(-1)
+                     for p, lam in branches], dtype=complex)
+
+
+def smooth_h0_cond_cq(rows, dims, eps):
+    """The reported smooth conditional max-entropy of the ensemble of ``rows``
+    (k, D), each row a branch of weight ``|row|^2``."""
+    rows = np.asarray(rows, dtype=complex)
+    rho = DensityMatrix(dims, rows.T @ rows.conj(), subnormalized=True)
+    return _EnsembleSearch(rho, None).smooth_value(rows[None], eps)[0]
+
+
+def h0_cond_cq(branches):
+    """Conditional max-entropy of a CQ state from its branch spectra."""
+    n = len(branches[0][1])
+    return smooth_h0_cond_cq(flagged_rows(branches), (n, n), 0.0)
 
 
 def dm(diag):
@@ -86,7 +101,7 @@ def test_von_neumann_unitary_invariance_and_additivity():
         rotated = DensityMatrix((4,), u @ rho.mat @ u.conj().T)
         assert von_neumann(rotated) == pytest.approx(von_neumann(rho), abs=1e-9)
         sig = random_density_matrix((3,), 2, rng)
-        prod = DensityMatrix((4, 3), tensor(rho.mat, sig.mat))
+        prod = DensityMatrix((4, 3), np.kron(rho.mat, sig.mat))
         assert von_neumann(prod) == pytest.approx(
             von_neumann(rho) + von_neumann(sig), abs=1e-9)
 
@@ -95,7 +110,9 @@ def test_cond_von_neumann():
     bell = DensityMatrix((2, 2), np.outer(BELL_PLUS, BELL_PLUS))
     assert cond_von_neumann(bell) == pytest.approx(-1.0, abs=1e-9)
     assert cond_von_neumann(DensityMatrix((2, 2), np.eye(4) / 4)) == pytest.approx(1.0)
-    state = cq([(0.5, dm([1.0, 0.0])), (0.5, dm([0.5, 0.5]))]).to_density_matrix()
+    # classical on B: 1/2 |0><0| (x) |0><0| + 1/2 I/2 (x) |1><1|
+    state = DensityMatrix((2, 2), 0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+                          + 0.5 * np.kron(np.eye(2) / 2, np.diag([0.0, 1.0])))
     assert cond_von_neumann(state) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -117,11 +134,9 @@ def test_h0():
 
 
 def test_h0_cond_cq():
-    assert h0_cond_cq(cq([(1.0, dm([0.5, 0.5]))])) == 1.0
-    mixed = cq([(0.5, dm([1.0, 0.0])), (0.5, dm([0.5, 0.5]))])
-    assert h0_cond_cq(mixed) == 1.0
-    ranks = cq([(0.25, dm([1, 0, 0, 0.0])), (0.25, dm([0.5, 0.5, 0, 0])),
-                (0.5, dm([0.25] * 4))])
+    assert h0_cond_cq([(1.0, [0.5, 0.5])]) == 1.0
+    assert h0_cond_cq([(0.5, [1.0, 0.0]), (0.5, [0.5, 0.5])]) == 1.0
+    ranks = [(0.25, [1, 0, 0, 0.0]), (0.25, [0.5, 0.5, 0, 0]), (0.5, [0.25] * 4)]
     assert h0_cond_cq(ranks) == 2.0
 
 
@@ -139,10 +154,9 @@ def test_support_rules_exact_for_tables_rank_rule_for_spectra():
     table = ClassicalJoint(3, 1, np.array([[0.6], [0.4], [1e-300]]))
     assert classical_h0_cond(table) == math.log2(3)
     assert classical_smooth_h0_cond(table, 0.0) == math.log2(3)
-    # a branch eigenvalue at or below 1e-9 * max(lmax, 1) is rank noise
-    s = cq([(0.5, dm([1.0 - 1e-12, 1e-12])), (0.5, dm([1.0, 0.0]))])
-    assert h0_cond_cq(s) == 0.0
-    assert smooth_h0_cond_cq(s, 0.0) == 0.0
+    # a branch's Schmidt weight at or below RANK_RTOL of its branch weight is
+    # rank noise
+    assert h0_cond_cq([(0.5, [1.0 - 1e-12, 1e-12]), (0.5, [1.0, 0.0])]) == 0.0
 
 
 def test_classical_smooth_h0_single_column():
@@ -186,49 +200,53 @@ def test_classical_smooth_h0_matches_brute_force():
 
 
 def test_smooth_h0_cond_cq_examples():
-    s = cq([(0.5, dm([0.9, 0.1])), (0.5, dm([0.6, 0.4]))])
-    assert smooth_h0_cond_cq(s, 0.0) == h0_cond_cq(s)
-    one = cq([(1.0, dm([0.98, 0.02]))])
-    assert smooth_h0_cond_cq(one, 0.05) == 0.0
-    two = cq([(0.5, dm([0.7, 0.3])), (0.5, dm([0.7, 0.3]))])
-    assert smooth_h0_cond_cq(two, 1e-6) == 1.0
+    s = flagged_rows([(0.5, [0.9, 0.1]), (0.5, [0.6, 0.4])])
+    assert smooth_h0_cond_cq(s, (2, 2), 0.0) == 1.0
+    one = flagged_rows([(1.0, [0.98, 0.02])])
+    assert smooth_h0_cond_cq(one, (2, 2), 0.05) == 0.0
+    two = flagged_rows([(0.5, [0.7, 0.3]), (0.5, [0.7, 0.3])])
+    assert smooth_h0_cond_cq(two, (2, 2), 1e-6) == 1.0
 
 
 def test_smooth_h0_cond_cq_rejects_nan_budget():
-    s = cq([(0.5, dm([0.9, 0.1])), (0.5, dm([0.6, 0.4]))])
     with pytest.raises(ValueError):
-        smooth_h0_cond_cq(s, float("nan"))
+        one_shot_cost_bounds(DensityMatrix((2, 2), np.eye(4) / 4), float("nan"))
 
 
 def test_smooth_h0_cond_cq_matches_classical_oracle():
-    # branch eigenvalues define the table, so the classical oracle applies
+    # the weighted squared Schmidt coefficients of the branches, under the
+    # rank rule, define the table, so the classical oracle applies; both
+    # orientations of the smaller side
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        k = int(rng.integers(1, 4))
-        weights = rng.random(k)
-        weights /= weights.sum()
-        branches = [(float(weights[i]), random_density_matrix((3,), int(rng.integers(1, 4)), rng))
-                    for i in range(k)]
-        s = cq(branches)
-        cols = np.zeros((3, k))
-        for i, (p, rho) in enumerate(branches):
-            ev = np.linalg.eigvalsh(rho.mat)[::-1]
-            ev = np.where(ev > 1e-9, ev, 0.0)
-            cols[:, i] = p * ev
+    cases = []
+    for dims in ((2, 3), (3, 2), (3, 3)):
+        for _ in range(4):
+            shape = (int(rng.integers(1, 4)), dims[0] * dims[1])
+            rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            cases.append((rows / np.linalg.norm(rows), dims))
+    # a branch whose second Schmidt weight, 1e-12, is rank noise: 0 bits, not
+    # the 1 bit of the raw table
+    noisy = flagged_rows([(0.5, [1.0 - 1e-12, 1e-12]), (0.5, [1.0, 0.0])])
+    assert smooth_h0_cond_cq(noisy, (2, 2), 0.0) == 0.0
+    cases.append((noisy, (2, 2)))
+    for rows, dims in cases:
+        sq = np.linalg.svd(rows.reshape(-1, *dims), compute_uv=False) ** 2
+        cols = np.where(sq > RANK_RTOL * sq.sum(axis=1, keepdims=True), sq, 0.0).T
         for eps in (0.0, 0.05, 0.3):
-            got = smooth_h0_cond_cq(s, eps)
-            want = brute_force_smooth_h0(cols, eps)
-            assert got == pytest.approx(want, abs=1e-12)
+            got = smooth_h0_cond_cq(rows, dims, eps)
+            assert got == pytest.approx(brute_force_smooth_h0(cols, eps), abs=1e-12)
 
 
 def test_h0_dominates_conditional_entropy_on_cq_states():
+    # H0(A|X) >= H(A|X) on the flagged ensemble of every decomposition
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        k = int(rng.integers(1, 4))
-        weights = rng.dirichlet(np.ones(k))
-        s = cq([(float(weights[i]), random_density_matrix((4,), int(rng.integers(1, 5)), rng))
-                for i in range(k)])
-        assert h0_cond_cq(s) >= cond_von_neumann(s.to_density_matrix()) - 1e-9
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        for _ in range(4):
+            rho = random_density_matrix(dims, int(rng.integers(1, dims[0] * dims[1] + 1)), rng)
+            search = _EnsembleSearch(rho, None)
+            rows = search.start(4, int(rng.integers(100))) @ search.base
+            for i, h in enumerate(search.smooth_value(rows, 0.0)):
+                assert h >= eof_cq_conditional(search.decomposition(rows[i])) - 1e-9
 
 
 def test_h0_mixing_subadditivity():
@@ -301,13 +319,6 @@ def test_classical_joint_validation():
         ClassicalJoint(2, 1, np.array([[0.5], [-0.1]]))
     with pytest.raises(ValidationError):
         ClassicalJoint(2, 1, np.array([[0.9], [0.9]]))
-
-
-def test_cq_state_validation():
-    with pytest.raises(ValidationError):
-        cq([(0.0, dm([1.0, 0.0]))])
-    with pytest.raises(ValidationError):
-        cq([(0.9, dm([1.0, 0.0])), (0.9, dm([1.0, 0.0]))])
 
 
 def test_csv_round_trip():

@@ -1,24 +1,20 @@
-"""Kernel tests: tensor products, partial traces, eigensolver, metrics."""
+"""Kernel tests: partial traces, eigensolver, norms, Schmidt spectra."""
 
 import numpy as np
 import pytest
 
+from entcost.entanglement import _YY, _EnsembleSearch, _schmidt_sq, eof_pure
 from entcost.linalg import (
     DensityMatrix,
     PureState,
     ValidationError,
-    fidelity,
     haar_isometry,
     herm_eig,
     partial_trace,
     partial_transpose_mat,
     psd_sqrt,
-    purified_distance,
     random_density_matrix,
     random_pure_state,
-    schmidt,
-    tensor,
-    trace_distance,
     trace_norm,
 )
 
@@ -32,10 +28,6 @@ def bell_dm(vec=BELL_PLUS):
     return DensityMatrix((2, 2), np.outer(vec, vec.conj()))
 
 
-def test_tensor_identity():
-    np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
 def test_tensor_sigma_y_pair():
     # hand expansion: kron flips both bits and picks up signs on the corners
     expected = np.zeros((4, 4), dtype=complex)
@@ -43,21 +35,8 @@ def test_tensor_sigma_y_pair():
     expected[1, 2] = 1
     expected[2, 1] = 1
     expected[3, 0] = -1
-    np.testing.assert_allclose(tensor(SY, SY), expected, atol=1e-15)
-
-
-def test_tensor_projectors():
-    p = np.diag([1.0, 0.0])
-    np.testing.assert_allclose(tensor(p, p), np.diag([1.0, 0, 0, 0]))
-
-
-def test_tensor_associative():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                   for _ in range(3))
-        np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)),
-                                   atol=1e-12)
+    np.testing.assert_allclose(np.kron(SY, SY), expected, atol=1e-15)
+    np.testing.assert_array_equal(_YY, expected)  # the concurrence's spin flip
 
 
 def test_partial_trace_bell():
@@ -69,7 +48,7 @@ def test_partial_trace_product():
     rng = np.random.default_rng(3)
     rho = random_density_matrix((2,), 2, rng)
     sig = random_density_matrix((3,), 3, rng)
-    joint = DensityMatrix((2, 3), tensor(rho.mat, sig.mat))
+    joint = DensityMatrix((2, 3), np.kron(rho.mat, sig.mat))
     np.testing.assert_allclose(partial_trace(joint, keep=0).mat, rho.mat, atol=1e-10)
     np.testing.assert_allclose(partial_trace(joint, keep=1).mat, sig.mat, atol=1e-10)
 
@@ -152,100 +131,52 @@ def test_trace_norm():
     assert trace_norm(diff) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_fidelity_basics():
-    rng = np.random.default_rng(13)
-    rho = random_density_matrix((2, 2), 2, rng)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-    zero = DensityMatrix((2,), np.diag([1.0, 0.0]))
-    one = DensityMatrix((2,), np.diag([0.0, 1.0]))
-    assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-9)
-    mixed = DensityMatrix((2,), np.eye(2) / 2)
-    assert fidelity(mixed, zero) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-
-def test_fidelity_symmetry_and_unitary_invariance():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        rho = random_density_matrix((4,), 2, rng)
-        sig = random_density_matrix((4,), 3, rng)
-        f1 = fidelity(rho, sig)
-        assert f1 == pytest.approx(fidelity(sig, rho), abs=1e-9)
-        u = haar_isometry(4, 4, rng)
-        rho_u = DensityMatrix((4,), u @ rho.mat @ u.conj().T)
-        sig_u = DensityMatrix((4,), u @ sig.mat @ u.conj().T)
-        assert f1 == pytest.approx(fidelity(rho_u, sig_u), abs=1e-9)
-
-
-def test_fidelity_dim_mismatch():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        fidelity(random_density_matrix((2,), 1, rng), random_density_matrix((3,), 1, rng))
-
-
-def test_purified_distance_values():
-    rng = np.random.default_rng(19)
-    rho = random_density_matrix((2, 2), 2, rng)
-    assert purified_distance(rho, rho) == pytest.approx(0.0, abs=1e-7)
-    zero = DensityMatrix((2,), np.diag([1.0, 0.0]))
-    one = DensityMatrix((2,), np.diag([0.0, 1.0]))
-    assert purified_distance(zero, one) == pytest.approx(1.0, abs=1e-9)
-    mixed = DensityMatrix((2,), np.eye(2) / 2)
-    assert purified_distance(mixed, zero) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-
-def test_purified_distance_trace_distance_sandwich():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        rho = random_density_matrix((2, 2), int(rng.integers(1, 5)), rng)
-        sig = random_density_matrix((2, 2), int(rng.integers(1, 5)), rng)
-        if rng.random() < 0.5:
-            sig = DensityMatrix(sig.dims, 0.8 * sig.mat, subnormalized=True)
-        td = trace_distance(rho.mat, sig.mat)
-        pd = purified_distance(rho, sig)
-        assert td <= pd + 1e-9
-        assert pd <= np.sqrt(2 * td + abs(rho.trace() - sig.trace())) + 1e-9
+def schmidt_sq(vec, dims=(2, 2)):
+    return _schmidt_sq(np.asarray(vec, dtype=complex), *dims)
 
 
 def test_schmidt_bell():
-    coeffs, ba, bb = schmidt(PureState((2, 2), BELL_PLUS))
-    np.testing.assert_allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
+    np.testing.assert_allclose(schmidt_sq(BELL_PLUS), [0.5, 0.5], atol=1e-12)
 
 
 def test_schmidt_product_state():
-    coeffs, _, _ = schmidt(PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex)))
-    np.testing.assert_allclose(coeffs, [1.0])
+    np.testing.assert_allclose(schmidt_sq([1, 0, 0, 0]), [1.0, 0.0])
 
 
 def test_schmidt_ratio_state():
     r = 0.25
-    vec = np.array([1, 0, 0, np.sqrt(r)], dtype=complex) / np.sqrt(1 + r)
-    coeffs, _, _ = schmidt(PureState((2, 2), vec))
-    np.testing.assert_allclose(coeffs, [2 / np.sqrt(5), 1 / np.sqrt(5)], atol=1e-12)
+    vec = np.array([1, 0, 0, np.sqrt(r)]) / np.sqrt(1 + r)
+    np.testing.assert_allclose(schmidt_sq(vec), [0.8, 0.2], atol=1e-12)
 
 
 def test_schmidt_uses_package_rank_rule():
-    # a Schmidt weight counts iff it passes numerical_rank, as in h0 and the
-    # one-shot bounds: 1e-8 does, 1e-10 and 1e-14 do not
-    for weight, want in ((1e-8, 2), (1e-10, 1), (1e-14, 1)):
-        vec = np.array([np.sqrt(1 - weight), 0, 0, np.sqrt(weight)], dtype=complex)
-        coeffs, ba, bb = schmidt(PureState((2, 2), vec))
-        assert coeffs.size == ba.shape[1] == bb.shape[1] == want, weight
+    # a Schmidt weight counts iff it passes the package rank rule, as in h0,
+    # where the one-shot bounds count branch support: 1e-8 does, 1e-10 and
+    # 1e-14 do not
+    for weight, want in ((1e-8, 1.0), (1e-10, 0.0), (1e-14, 0.0)):
+        psi = PureState((2, 2), [np.sqrt(1 - weight), 0, 0, np.sqrt(weight)])
+        search = _EnsembleSearch(psi.to_density_matrix(), None)
+        assert search.smooth_value(psi.vec[None, None], 0.0) == [want], weight
 
 
 def test_schmidt_reconstruction_and_normalization():
+    # the squared coefficients are the spectrum of either marginal, in both
+    # orientations of the smaller side
     rng = np.random.default_rng(29)
     for dims in ((2, 3), (3, 3), (4, 2)):
         psi = random_pure_state(dims, rng)
-        coeffs, ba, bb = schmidt(psi)
-        assert (coeffs ** 2).sum() == pytest.approx(1.0, abs=1e-9)
-        recon = sum(c * np.kron(ba[:, i], bb[:, i]) for i, c in enumerate(coeffs))
-        assert np.max(np.abs(recon - psi.vec)) < 1e-8
+        sq = schmidt_sq(psi.vec, dims)
+        assert sq.sum() == pytest.approx(1.0, abs=1e-9)
+        for keep in (0, 1):
+            marg = np.linalg.eigvalsh(partial_trace(psi.to_density_matrix(), keep).mat)
+            np.testing.assert_allclose(np.sort(marg)[::-1][:sq.size], sq, atol=1e-12)
+            assert np.abs(np.sort(marg)[::-1][sq.size:]).max(initial=0.0) < 1e-12
 
 
 def test_schmidt_requires_bipartite():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        schmidt(random_pure_state((2, 2, 2), rng))
+        eof_pure(random_pure_state((2, 2, 2), rng))
 
 
 def test_partial_transpose_involution():
