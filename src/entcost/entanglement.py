@@ -29,6 +29,7 @@ from .linalg import (
     haar_isometry,
     herm_eig,
     numerical_rank,
+    partial_transpose_mat,
     psd_sqrt,
     trace_norm,
 )
@@ -195,6 +196,8 @@ class _EnsembleSearch:
         self.da, self.db = rho.dims
         w, v = herm_eig(rho.mat)
         self.rank = numerical_rank(w)
+        if self.rank == 0:
+            raise ValueError("a state of rank 0 has no decomposition to search")
         keep = np.clip(w[:self.rank], 0.0, None)
         self.base = (v[:, :self.rank] * np.sqrt(keep)).T  # (rank, D)
         if max_items is None:
@@ -285,7 +288,8 @@ class _EnsembleSearch:
 
 
 def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
-             moved: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             moved: np.ndarray | None = None,
+             stop=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
 
     ``objective(w, *per_restart)`` maps mixings to their values (R,) and
@@ -300,8 +304,10 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
     stops once its restart of lowest value has a gradient norm below 1e-8
     and is marked in ``moved``.  Each accepted step marks its restart in
     place, and so does a value of 0, the objective's floor: an unmarked
-    start of zero gradient may be a saddle.  Returns the final values (R,),
-    mixings and squared gradient norms (R,).
+    start of zero gradient may be a saddle.  With ``stop``, a predicate on
+    the values (R,), the whole batch stops before the first step at whose
+    values it holds.  Returns the final values (R,), mixings and squared
+    gradient norms (R,).
     """
     vals, grad = objective(w, *per_restart)
     if moved is not None:
@@ -309,6 +315,8 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
     step = np.ones(len(w))
     live = np.arange(len(w))
     for k in range(steps):
+        if stop is not None and stop(vals):
+            break
         gg = _inner(grad, grad)  # squared gradient norms
         if moved is not None:
             best = np.argmin(vals)
@@ -333,6 +341,53 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
         if moved is not None:
             moved[acc] = True
     return vals, w, _inner(grad, grad)
+
+
+def _ppt_ccnr_lambda(rho: DensityMatrix) -> float:
+    """``Lambda = max(||rho^{T_A}||_1, ||R(rho)||_1) / tr rho``, R the
+    realignment ``R(rho)_{(i k),(j l)} = rho_{(i j),(k l)}``.
+
+    Both norms are convex and equal ``(sum_j s_j)^2`` on a normalized pure
+    state of Schmidt coefficients s_j, so Lambda bounds the trace-weighted
+    average of that sum over every decomposition of rho (Chen, Albeverio and
+    Fei, PRL 95, 210501 (2005)).
+    """
+    da, db = rho.dims
+    realigned = rho.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return max(trace_norm(partial_transpose_mat(rho.mat, rho.dims, 0)),
+               trace_norm(realigned)) / rho.trace()
+
+
+def _support_floors(rho: DensityMatrix, deltas) -> list[int]:
+    """Certified lower bounds on the smooth support of every decomposition
+    of ``rho`` at each L1 budget in ``deltas``.
+
+    A normalized branch whose k largest Schmidt weights hold mass mu has
+    ``(sum_j s_j)^2 <= G_k(mu) = (sqrt(k mu) + sqrt((n - k)(1 - mu)))^2``
+    (Cauchy-Schwarz on both parts), n = min(da, db).  G_k is concave with
+    its maximum n at mu = k/n, below which no top-k mass lies, and falls
+    beyond it.  Support at most k at budget delta means an average top-k
+    mass of at least ``1 - delta / t``, t = tr rho, so by Jensen
+    ``Lambda <= G_k(max(1 - delta / t, k/n))``.  The floor is the smallest k
+    that passes, 0 once delta covers t; at delta = 0 it is ``ceil(Lambda)``,
+    the Schmidt-number bound of Terhal and Horodecki (PRA 61, 040301
+    (2000)).  Each budget is widened by ``n RANK_RTOL t``, the most the rank
+    rule can remove, and Lambda lowered by 1e-9 against round-off, so the
+    floors also bound the support the reported values count.
+    """
+    lam = _ppt_ccnr_lambda(rho) - 1e-9
+    n, t = min(rho.dims), rho.trace()
+    floors = []
+    for delta in deltas:
+        mu = 1.0 - delta / t - n * RANK_RTOL
+        k = 0 if mu <= 0.0 else 1
+        while 0 < k < n:
+            m = max(mu, k / n)
+            if lam <= (math.sqrt(k * m) + math.sqrt((n - k) * (1.0 - m))) ** 2:
+                break
+            k += 1
+        floors.append(k)
+    return floors
 
 
 def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
@@ -393,6 +448,15 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     rank rule.  Both bounds are evaluated on the union of all candidate
     decompositions, and the larger budget can only smooth further, so
     ``lower <= upper`` holds by construction.
+
+    The batch stops once each budget's best restart reaches that budget's
+    support floor (:func:`_support_floors`), the smallest k with ``Lambda <=
+    G_k(1 - delta / t)`` (Chen, Albeverio and Fei, PRL 95, 210501 (2005); at
+    delta = 0 the Schmidt-number bound of Terhal and Horodecki, PRA 61,
+    040301 (2000)).  No decomposition goes below it, so the stop keeps both
+    bounds and may change only the witness.  Neither budget stops alone,
+    since each bound is taken over both budgets' candidates.  The floor is
+    internal and not reported.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
@@ -401,9 +465,13 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     search = _EnsembleSearch(rho, max_items)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
+    # a score of at most 2 floor + 1 is a raw support at the floor
+    cap_up, cap_low = (2 * f + 1 for f in _support_floors(rho, (delta_up, delta_low)))
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
     _, w, _ = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
-                       np.repeat([delta_up, delta_low], restarts))
+                       np.repeat([delta_up, delta_low], restarts),
+                       stop=lambda v: v[:restarts].min() <= cap_up
+                       and v[restarts:].min() <= cap_low)
     rows = w @ search.base
     upper = search.smooth_value(rows, delta_up)
     best = upper.index(min(upper))

@@ -221,10 +221,11 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+    """Sum of singular values of a matrix (rectangular ones too, such as a
+    realignment)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {m.shape}")
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

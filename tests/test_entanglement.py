@@ -386,9 +386,21 @@ def test_one_shot_classically_correlated_witness():
         assert numerical_rank(sq) == 1  # product branches certify the bound
 
 
+def one_shot_batch(search, eps, restarts, seed):
+    """Final mixings of both budgets' restarts run as one batch with no stop
+    hook, as ``one_shot_cost_bounds`` runs them up to its floor stop."""
+    from entcost.entanglement import _SMOOTH_STEPS, _descend
+
+    w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
+    deltas = np.repeat([0.5 * eps, 2.0 * math.sqrt(eps)], restarts)
+    return _descend(w, _SMOOTH_STEPS, search.smooth_gradient, deltas)[1]
+
+
 def test_one_shot_batch_equals_per_budget_search():
-    # one batch of both budgets' restarts gives the bytes of one descent per
-    # budget, since a restart's trajectory depends only on its own rows
+    # with no stop hook, one batch of both budgets' restarts gives the bytes
+    # of one descent per budget, since a restart's trajectory depends only on
+    # its own rows; the floor stop ends that batch once both budgets are
+    # provably optimal, so it keeps both bounds and may change only the witness
     from entcost.entanglement import _SMOOTH_STEPS, _descend, _EnsembleSearch
 
     rng = np.random.default_rng(37)
@@ -397,19 +409,100 @@ def test_one_shot_batch_equals_per_budget_search():
         for eps in (0.01, 0.1):
             search = _EnsembleSearch(rho, None)
             deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
-            rows = np.concatenate([
+            alone = np.concatenate([
                 _descend(search.start(8, 5, stream), _SMOOTH_STEPS,
                          functools.partial(search.smooth_gradient, delta=delta))[1]
-                @ search.base
                 for stream, delta in enumerate(deltas)])
-            upper = search.smooth_value(rows, deltas[0])
-            witness = search.decomposition(rows[upper.index(min(upper))])
+            batch = one_shot_batch(search, eps, 8, 5)
+            assert batch.tobytes() == alone.tobytes(), (dims, eps)
+            rows = batch @ search.base
             b = one_shot_cost_bounds(rho, eps, seed=5)
-            assert b.upper == min(upper), (dims, eps)
+            assert b.upper == min(search.smooth_value(rows, deltas[0])), (dims, eps)
             assert b.lower == min(search.smooth_value(rows, deltas[1])), (dims, eps)
-            assert len(b.witness.items) == len(witness.items)
-            for (p, psi), (q, phi) in zip(b.witness.items, witness.items):
-                assert p == q and psi.vec.tobytes() == phi.vec.tobytes(), (dims, eps)
+            items = b.witness.items
+            recon = sum(p * np.outer(psi.vec, psi.vec.conj()) for p, psi in items)
+            assert np.abs(recon - rho.mat).max() <= 1e-10, (dims, eps)
+            witness = np.array([[math.sqrt(p) * psi.vec for p, psi in items]])
+            assert search.smooth_value(witness, deltas[0]) == [b.upper], (dims, eps)
+
+
+def test_one_shot_stops_at_the_support_floor(monkeypatch):
+    # both budgets reach their certified floor within a few steps; without
+    # the stop the upper-budget restarts run on to the 200-step cap (201
+    # evaluations) and lower an excess that never lowers the support
+    from entcost.entanglement import _EnsembleSearch, _support_floors
+
+    rho = random_density_matrix((3, 3), 3, np.random.default_rng(40))
+    eps = 0.01
+    search = _EnsembleSearch(rho, None)
+    rows = one_shot_batch(search, eps, 8, 0) @ search.base
+    deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
+    full = [min(search.smooth_value(rows, d)) for d in deltas]
+    assert [2 ** v for v in full] == _support_floors(rho, deltas)  # both certified
+
+    calls = []
+    gradient = _EnsembleSearch.smooth_gradient
+
+    def counted(self, w, delta):
+        calls.append(len(w))
+        return gradient(self, w, delta)
+
+    monkeypatch.setattr(_EnsembleSearch, "smooth_gradient", counted)
+    b = one_shot_cost_bounds(rho, eps, seed=0)
+    assert [b.upper, b.lower] == full
+    assert len(calls) <= 10, len(calls)
+
+
+def test_support_floor_never_exceeds_the_reported_support():
+    # at both budgets, on both marginal orientations' smaller sides 2 and 3,
+    # and on a subnormalized state, whose largest budget covers its trace
+    from entcost.entanglement import _support_floors
+
+    rng = np.random.default_rng(43)
+    states = [random_density_matrix(dims, rank, rng)
+              for dims in ((2, 2), (2, 3), (3, 3), (2, 4)) for rank in (2, 4)]
+    states.append(DensityMatrix((2, 3), 0.7 * states[2].mat, subnormalized=True))
+    for i, rho in enumerate(states):
+        for eps in (0.0, 0.01, 0.05, 0.1, 0.5):
+            b = one_shot_cost_bounds(rho, eps, restarts=3, seed=i)
+            up, low = _support_floors(rho, (0.5 * eps, 2.0 * math.sqrt(eps)))
+            assert up <= 2 ** b.upper and low <= 2 ** b.lower, (i, eps)
+    assert _support_floors(states[-1], (2.0 * math.sqrt(0.5),)) == [0]
+
+
+def test_support_floor_exact_on_maximally_entangled_and_product_states():
+    from entcost.entanglement import _support_floors
+
+    for d in (2, 3, 4):
+        assert _support_floors(max_entangled(d).to_density_matrix(), (0.0,)) == [d]
+    rng = np.random.default_rng(47)
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        a, b = (random_pure_state((d,), rng).vec for d in dims)
+        product = PureState(dims, np.kron(a, b)).to_density_matrix()
+        assert _support_floors(product, (0.0,)) == [1]
+
+
+def test_support_floor_invariant_under_local_unitaries():
+    from entcost.entanglement import _ppt_ccnr_lambda, _support_floors
+
+    rng = np.random.default_rng(53)
+    deltas = (0.0, 0.005, 0.025, 0.2, 0.45)
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        for rank in (1, 3):
+            rho = random_density_matrix(dims, rank, rng)
+            u = np.kron(haar_isometry(dims[0], dims[0], rng), haar_isometry(dims[1], dims[1], rng))
+            turned = DensityMatrix(dims, u @ rho.mat @ u.conj().T)
+            assert _ppt_ccnr_lambda(turned) == pytest.approx(_ppt_ccnr_lambda(rho), abs=1e-12)
+            assert _support_floors(turned, deltas) == _support_floors(rho, deltas)
+
+
+def test_one_shot_witness_bytes_repeat_for_a_seed():
+    rho = random_density_matrix((3, 3), 3, np.random.default_rng(59))
+    for eps in (0.0, 0.05):
+        a, b = (one_shot_cost_bounds(rho, eps, seed=3) for _ in range(2))
+        assert (a.lower, a.upper) == (b.lower, b.upper)
+        assert [(p, psi.vec.tobytes()) for p, psi in a.witness.items] == \
+            [(p, psi.vec.tobytes()) for p, psi in b.witness.items]
 
 
 def test_one_shot_upper_monotone_for_fixed_witness():
@@ -453,6 +546,9 @@ def test_one_shot_eps_range():
         one_shot_cost_bounds(bell_dm(), -0.1)
     with pytest.raises(ValueError):
         one_shot_cost_bounds(bell_dm(), 1.5)
+    zero = DensityMatrix((2, 2), np.zeros((4, 4)), subnormalized=True)
+    with pytest.raises(ValueError, match="rank 0"):
+        one_shot_cost_bounds(zero, 0.1)
 
 
 def smooth_score_reference(sq, delta, rtol=0.0):
