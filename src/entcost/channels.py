@@ -20,6 +20,9 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     ValidationError,
+    _check_density,
+    _check_finite,
+    _dag,
     haar_isometry,
     partial_trace_mat,
     partial_transpose_mat,
@@ -32,10 +35,30 @@ MAX_CHANNEL_DIM = 64      # dim_in * dim_out cap
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID2 = np.eye(2, dtype=complex)
+_KET0_BRA0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_KET0_BRA1 = np.array([[0, 1], [0, 0]], dtype=complex)
+_KET1_BRA1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 class SchemaError(ValueError):
     """A channel or state description violates the wire format."""
+
+
+def _check_kraus(ks: np.ndarray) -> None:
+    """Finite entries and completeness ``sum_k K_k^H K_k = I`` to
+    ``COMPLETENESS_TOL`` for a Kraus stack ``(..., k, dim_out, dim_in)``."""
+    _check_finite(ks, "Kraus operator")
+    acc = (_dag(ks) @ ks).sum(axis=-3)
+    if np.max(np.abs(acc - np.eye(ks.shape[-1]))) > COMPLETENESS_TOL:
+        raise ValidationError("Kraus operators violate completeness beyond 1e-9")
+
+
+def _check_choi_marginal(mat: np.ndarray, dim_out: int, dim_in: int) -> None:
+    """Input marginal I/dim_in to 1e-9 for a Choi matrix or a stack of them."""
+    marg = partial_trace_mat(mat, (dim_out, dim_in), keep=1)
+    if np.max(np.abs(marg - np.eye(dim_in) / dim_in)) > 1e-9:
+        raise ValidationError("Choi input marginal deviates from I/dim_in beyond 1e-9")
 
 
 @dataclass(frozen=True)
@@ -58,16 +81,11 @@ class KrausChannel:
             if arr.shape != (dout, din):
                 raise ValueError(
                     f"Kraus operator shape {arr.shape}, expected {(dout, din)}")
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-                raise ValidationError("Kraus operator has non-finite entries")
             arr.setflags(write=False)
             ops.append(arr)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        acc = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(acc - np.eye(din))) > COMPLETENESS_TOL:
-            raise ValidationError(
-                "Kraus operators violate completeness beyond 1e-9")
+        _check_kraus(np.stack(ops))
         object.__setattr__(self, "dim_in", din)
         object.__setattr__(self, "dim_out", dout)
         object.__setattr__(self, "kraus", tuple(ops))
@@ -86,10 +104,7 @@ class ChoiState:
         if self.state.dims != (dout, din):
             raise ValueError(
                 f"Choi state dims {self.state.dims}, expected {(dout, din)}")
-        marg = partial_trace_mat(self.state.mat, self.state.dims, keep=1)
-        if np.max(np.abs(marg - np.eye(din) / din)) > 1e-9:
-            raise ValidationError(
-                "Choi input marginal deviates from I/dim_in beyond 1e-9")
+        _check_choi_marginal(self.state.mat, dout, din)
         object.__setattr__(self, "dim_in", din)
         object.__setattr__(self, "dim_out", dout)
 
@@ -115,11 +130,17 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
                          subnormalized=rho.subnormalized)
 
 
+def _choi_gram(ks: np.ndarray) -> np.ndarray:
+    """Choi matrix of a Kraus stack ``(..., k, dim_out, dim_in)``: the gram of
+    the row-major Kraus vectors, each over sqrt(dim_in)."""
+    vecs = ks.reshape(ks.shape[:-2] + (-1,)) / np.sqrt(ks.shape[-1])
+    return np.einsum("...ka,...kb->...ab", vecs, vecs.conj())
+
+
 def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state: the gram of the row-major Kraus vectors, each over sqrt(dim_in)."""
-    vecs = np.stack(ch.kraus).reshape(len(ch.kraus), -1) / np.sqrt(ch.dim_in)
-    mat = np.einsum("ka,kb->ab", vecs, vecs.conj())
-    return ChoiState(ch.dim_in, ch.dim_out, DensityMatrix((ch.dim_out, ch.dim_in), mat))
+    """Choi state of the channel (see :func:`_choi_gram`)."""
+    return ChoiState(ch.dim_in, ch.dim_out, DensityMatrix(
+        (ch.dim_out, ch.dim_in), _choi_gram(np.stack(ch.kraus))))
 
 
 def identity(d: int = 2) -> KrausChannel:
@@ -127,22 +148,56 @@ def identity(d: int = 2) -> KrausChannel:
     return KrausChannel(d, d, (np.eye(d, dtype=complex),))
 
 
+# Each qubit family's Kraus operators, defined once for parameters x of shape
+# (..., 1, 1) so that every operator broadcasts to (..., 2, 2).
+def _dephasing_kraus(p):
+    return np.sqrt(1.0 - p) * _ID2, np.sqrt(p) * SIGMA_Z
+
+
+def _depolarizing_kraus(r):
+    q = np.sqrt(0.25 * r)
+    return np.sqrt(1.0 - 0.75 * r) * _ID2, q * SIGMA_X, q * SIGMA_Y, q * SIGMA_Z
+
+
+def _amplitude_damping_kraus(r):
+    return _KET0_BRA0 + np.sqrt(r) * _KET1_BRA1, np.sqrt(1.0 - r) * _KET0_BRA1
+
+
+def _family_kraus(kind: str, x, error=ValueError) -> np.ndarray:
+    """Kraus stack ``(..., k, 2, 2)`` of family ``kind`` at each parameter of ``x``.
+
+    A parameter outside [0, 1], NaN included, raises ``error``.
+    """
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= 0.0) & (x <= 1.0))
+    if bad.any():
+        raise error(f"{kind} parameter {float(x[bad][0])} outside [0, 1]")
+    return np.stack(QUBIT_FAMILIES[kind][2](x[..., None, None]), axis=-3)
+
+
+def _family_channel(kind: str, x, error=ValueError) -> KrausChannel:
+    return KrausChannel(2, 2, tuple(_family_kraus(kind, x, error)))
+
+
+def family_choi(kind: str, x) -> np.ndarray:
+    """Choi matrices ``(..., 4, 4)`` of family ``kind`` at each parameter of
+    ``x``, with every check that :func:`choi` makes on a single channel."""
+    ks = _family_kraus(kind, x)
+    _check_kraus(ks)
+    mats = _choi_gram(ks)
+    _check_density(mats)
+    _check_choi_marginal(mats, 2, 2)
+    return mats
+
+
 def dephasing(p: float) -> KrausChannel:
     """Qubit dephasing rho -> (1-p) rho + p Z rho Z."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"dephasing parameter {p} outside [0, 1]")
-    return KrausChannel(2, 2, (np.sqrt(1.0 - p) * np.eye(2, dtype=complex),
-                               np.sqrt(p) * SIGMA_Z))
+    return _family_channel("dephasing", p)
 
 
 def depolarizing(r: float) -> KrausChannel:
     """Qubit depolarizing rho -> (1-r) rho + r I/2 (r=1 is the constant channel)."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"depolarizing parameter {r} outside [0, 1]")
-    return KrausChannel(2, 2, (np.sqrt(1.0 - 0.75 * r) * np.eye(2, dtype=complex),
-                               np.sqrt(0.25 * r) * SIGMA_X,
-                               np.sqrt(0.25 * r) * SIGMA_Y,
-                               np.sqrt(0.25 * r) * SIGMA_Z))
+    return _family_channel("depolarizing", r)
 
 
 def amplitude_damping(r: float) -> KrausChannel:
@@ -151,11 +206,7 @@ def amplitude_damping(r: float) -> KrausChannel:
     Kraus operators diag(1, sqrt(r)) and sqrt(1-r) |0><1|, so r=1 is the
     identity and r=0 measures and resets to |0>.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"amplitude damping parameter {r} outside [0, 1]")
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(r)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(1.0 - r)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(2, 2, (e0, e1))
+    return _family_channel("amplitude_damping", r)
 
 
 def is_entanglement_breaking_qubit(ch: KrausChannel) -> bool:
@@ -181,11 +232,12 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int,
     return KrausChannel(dim_in, dim_out, ops)
 
 
-# Parametrized qubit families: name -> (constructor, wire-format parameter key).
+# Parametrized qubit families:
+# name -> (constructor, wire-format parameter key, Kraus stack of a parameter array).
 QUBIT_FAMILIES = {
-    "dephasing": (dephasing, "p"),
-    "depolarizing": (depolarizing, "r"),
-    "amplitude_damping": (amplitude_damping, "r"),
+    "dephasing": (dephasing, "p", _dephasing_kraus),
+    "depolarizing": (depolarizing, "r", _depolarizing_kraus),
+    "amplitude_damping": (amplitude_damping, "r", _amplitude_damping_kraus),
 }
 
 # Channel types that teleportation with the Choi state J simulates, so that
@@ -242,11 +294,9 @@ def channel_from_json(obj) -> KrausChannel:
             raise SchemaError(f"identity dimension {d} exceeds the supported range")
         return identity(d)
     if isinstance(kind, str) and kind in QUBIT_FAMILIES:
-        ctor, key = QUBIT_FAMILIES[kind]
-        val = float(_numbers(obj.get(key), (), f"{kind} channel parameter '{key}'"))
-        if not 0.0 <= val <= 1.0:
-            raise SchemaError(f"{kind} parameter {val} outside [0, 1]")
-        return ctor(val)
+        key = QUBIT_FAMILIES[kind][1]
+        val = _numbers(obj.get(key), (), f"{kind} channel parameter '{key}'")
+        return _family_channel(kind, val, SchemaError)
     if kind == "kraus":
         din, dout = obj.get("dim_in"), obj.get("dim_out")
         ops = obj.get("ops")

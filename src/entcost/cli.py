@@ -176,8 +176,9 @@ def _cmd_dephasing_curves(args) -> str:
 _RATE_NOTE_COVERED = "rate = ec1 + delta2 >= true entanglement cost + delta2"
 _RATE_NOTE_UNCOVERED = (
     "rate = ec1 + delta2 is not shown to bound the true entanglement cost + delta2:"
-    " E_C(N) <= E_F(J) for the Choi state J is not established for this channel"
-    " type, and outside 2->2 a heuristic ec1 may also undershoot")
+    " E_C(N) <= E_F(J) for the Choi state J is not established for the declared channel"
+    " type (coverage goes by type, so a Pauli channel given as kraus gets this note),"
+    " and outside 2->2 a heuristic ec1 may also undershoot")
 
 
 def _cmd_strong_converse(args) -> str:

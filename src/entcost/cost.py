@@ -16,8 +16,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QUBIT_FAMILIES, KrausChannel, apply, choi
-from .entanglement import eof_2q, eof_numeric, max_entangled
+from .channels import QUBIT_FAMILIES, KrausChannel, apply, choi, family_choi
+from .entanglement import (_concurrence, _eof_from_concurrence, eof_2q, eof_numeric,
+                           max_entangled)
 from .entropy import MAX_TABLE_CELLS, binary_h
 from .linalg import PureState, random_pure_state
 
@@ -145,22 +146,30 @@ def security_threshold(ch: KrausChannel) -> float:
     return _nu_max(ec1_qubit(ch))
 
 
+# Grid points per stacked evaluation in security_region.  The stacks take
+# about 1.5 KB a point, so a chunk stays near 6 MB whatever the grid size.
+_CHUNK = 4096
+
+
 def security_region(family: str, grid: Sequence[float]) -> list[CurveSample]:
     """Security boundary nu_max(param) = 1/(2 ec1) for one channel family.
 
     Proven for the families in :data:`entcost.channels.TELEPORTATION_COVERED`
     (dephasing and depolarizing) through teleportation with the Choi state
     (see :func:`security_threshold`); the ``amplitude_damping`` rows are not
-    covered by that argument.
+    covered by that argument.  The grid is evaluated in stacked chunks: one
+    Choi stack, one batched square root and one batched SVD per chunk, with
+    the values :func:`ec1_qubit` gives point by point.
     """
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
-    ctor = QUBIT_FAMILIES[family][0]
+    grid = np.asarray(grid, dtype=float)
     rows = []
-    for param in grid:
-        chan = ctor(float(param))
-        e = ec1_qubit(chan)
-        rows.append(CurveSample(float(param), {"ec1": e, "nu_max": _nu_max(e)}))
+    for start in range(0, grid.size, _CHUNK):
+        part = grid[start:start + _CHUNK]
+        for param, c in zip(part.tolist(), _concurrence(family_choi(family, part)).tolist()):
+            e = _eof_from_concurrence(c)
+            rows.append(CurveSample(param, {"ec1": e, "nu_max": _nu_max(e)}))
     return rows
 
 

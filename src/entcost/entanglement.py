@@ -26,6 +26,7 @@ from .linalg import (
     RANK_RTOL,
     DensityMatrix,
     PureState,
+    _dag,
     haar_isometry,
     herm_eig,
     numerical_rank,
@@ -49,8 +50,9 @@ def max_entangled(d: int) -> PureState:
     return PureState((d, d), np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d))
 
 
-def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
+def _concurrence(mats: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state in a
+    ``(..., 4, 4)`` stack.
 
     The l_i are the decreasing square roots of the eigenvalues of
     ``rho @ spin_flipped(rho)``; they equal the singular values of
@@ -58,21 +60,26 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     here (the singular-value route avoids the square-root blowup of
     eigenvalue noise on rank-deficient states).
     """
+    s = psd_sqrt(mats)
+    sv = np.linalg.svd(s @ _YY @ s.conj(), compute_uv=False)
+    c = sv[..., 0] - sv[..., 1] - sv[..., 2] - sv[..., 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def _eof_from_concurrence(c: float) -> float:
+    return binary_h(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+
+
+def concurrence_2q(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence of a single state (see :func:`_concurrence`)."""
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence needs a two-qubit state, got dims {rho.dims}")
-    s = psd_sqrt(rho.mat)
-    sv = np.linalg.svd(s @ _YY @ s.conj(), compute_uv=False)
-    return float(max(0.0, sv[0] - sv[1] - sv[2] - sv[3]))
+    return float(_concurrence(rho.mat))
 
 
 def eof_2q(rho: DensityMatrix) -> float:
     """Exact two-qubit entanglement of formation from the concurrence."""
-    c = concurrence_2q(rho)
-    return binary_h(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
-
-
-def _dag(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -1, -2))
+    return _eof_from_concurrence(concurrence_2q(rho))
 
 
 def _marginal(vecs: np.ndarray, da: int, db: int) -> np.ndarray:

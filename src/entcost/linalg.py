@@ -41,6 +41,33 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains non-finite entries")
 
 
+def _dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _check_density(mat: np.ndarray, subnormalized: bool = False) -> None:
+    """The density-matrix contract on a matrix or a ``(..., n, n)`` stack.
+
+    Every matrix must be finite, Hermitian to ``HERM_TOL``, PSD to
+    ``PSD_TOL`` and of trace 1 within ``TRACE_TOL`` (at most 1 when
+    ``subnormalized``); an error reports the worst value in the stack.
+    """
+    _check_finite(mat, "density matrix")
+    if np.max(np.abs(mat - _dag(mat))) > HERM_TOL:
+        raise ValidationError("density matrix is not Hermitian to 1e-10")
+    low = np.linalg.eigvalsh(mat)[..., 0].min()
+    if low < -PSD_TOL:
+        raise ValidationError(f"density matrix has eigenvalue {low:.3e} < -{PSD_TOL}")
+    tr = np.trace(mat, axis1=-2, axis2=-1).real
+    if subnormalized:
+        if tr.max() > 1.0 + TRACE_TOL:
+            raise ValidationError(f"subnormalized state has trace {float(tr.max())}")
+    elif np.abs(tr - 1.0).max() > TRACE_TOL:
+        worst = tr.flat[np.abs(tr - 1.0).argmax()]
+        raise ValidationError(f"normalized state has trace {float(worst)}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD operator on a product of finite subsystems.
@@ -69,19 +96,7 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValidationError(
                 f"matrix shape {mat.shape} does not match dims {dims}")
-        _check_finite(mat, "density matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValidationError("density matrix is not Hermitian to 1e-10")
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -PSD_TOL:
-            raise ValidationError(
-                f"density matrix has eigenvalue {evals[0]:.3e} < -{PSD_TOL}")
-        tr = float(mat.trace().real)
-        if self.subnormalized:
-            if tr > 1.0 + TRACE_TOL:
-                raise ValidationError(f"subnormalized state has trace {tr}")
-        elif abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"normalized state has trace {tr}")
+        _check_density(mat, self.subnormalized)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
 
@@ -136,21 +151,24 @@ def _keep_indices(keep, n: int) -> tuple[int, ...]:
 
 
 def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
-    """Partial trace on a raw matrix; kept subsystems stay in original order."""
+    """Partial trace on a raw matrix or a ``(..., n, n)`` stack; kept
+    subsystems stay in original order."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     keep = _keep_indices(keep, n)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    t = np.asarray(mat, dtype=complex)
+    lead = t.shape[:-2]
+    t = t.reshape(lead + dims + dims)
     # Trace the discarded factors from the right so earlier axis numbers stay valid.
     traced = 0
     for idx in range(n - 1, -1, -1):
         if idx in keep:
             continue
         cur_n = n - traced
-        t = np.trace(t, axis1=idx, axis2=idx + cur_n)
+        t = np.trace(t, axis1=len(lead) + idx, axis2=len(lead) + idx + cur_n)
         traced += 1
     d_keep = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -174,20 +192,22 @@ def partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], sys: int) -> np.
 
 
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix (or a stack), eigenvalues descending.
 
     Returns ``(w, V)`` with ``h == V @ diag(w) @ V.conj().T`` and the columns
-    of ``V`` orthonormal.  Raises :class:`ValidationError` when the input
-    deviates from Hermitian by more than 1e-8 in any entry.
+    of ``V`` orthonormal, per matrix of a ``(..., n, n)`` stack.  Raises
+    :class:`ValidationError` when any input deviates from Hermitian by more
+    than 1e-8 in any entry.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > EIG_HERM_TOL:
+    if np.max(np.abs(h - _dag(h))) > EIG_HERM_TOL:
         raise ValidationError("matrix is not Hermitian to 1e-8")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh((h + _dag(h)) / 2.0)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return (np.take_along_axis(w, order, -1),
+            np.take_along_axis(v, order[..., None, :], -1))
 
 
 def numerical_rank(evals: np.ndarray) -> int:
@@ -203,21 +223,21 @@ def numerical_rank(evals: np.ndarray) -> int:
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a PSD-to-tolerance Hermitian matrix.
+    """Square root of a PSD-to-tolerance Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to 0 so numerical noise cannot
-    produce complex roots; anything more negative raises.  Positive eigenvalue
-    dust below a few hundred machine epsilons of the largest eigenvalue is
-    zeroed too, because the square root would blow such noise up from 1e-16
-    to 1e-8.
+    produce complex roots; anything more negative, in any matrix, raises.
+    Positive eigenvalue dust below a few hundred machine epsilons of the
+    matrix's largest eigenvalue is zeroed too, because the square root would
+    blow such noise up from 1e-16 to 1e-8.
     """
     w, v = herm_eig(mat)
-    if w[-1] < -PSD_TOL:
-        raise ValidationError(f"matrix is not PSD: eigenvalue {w[-1]:.3e}")
+    low = w[..., -1].min()
+    if low < -PSD_TOL:
+        raise ValidationError(f"matrix is not PSD: eigenvalue {low:.3e}")
     w = np.clip(w, 0.0, None)
-    if w[0] > 0.0:
-        w[w < 2e2 * np.finfo(float).eps * w[0]] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
+    w[w < 2e2 * np.finfo(float).eps * w[..., :1]] = 0.0
+    return (v * np.sqrt(w)[..., None, :]) @ _dag(v)
 
 
 def trace_norm(m: np.ndarray) -> float:

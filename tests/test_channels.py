@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from entcost import channels
 from entcost.channels import (
+    QUBIT_FAMILIES,
     KrausChannel,
     SchemaError,
+    _check_kraus,
     amplitude_damping,
     apply,
     channel_from_json,
     choi,
     dephasing,
     depolarizing,
+    family_choi,
     identity,
     is_entanglement_breaking_qubit,
     random_channel,
@@ -171,6 +175,47 @@ def test_constructor_rejects_out_of_range():
             ctor(-0.1)
         with pytest.raises(ValueError):
             ctor(1.1)
+
+
+def test_family_choi_stack_matches_single_channels():
+    grid = np.array([0.0, 0.25, 0.5, 2 / 3, 1.0])
+    for family, (ctor, _, _) in QUBIT_FAMILIES.items():
+        mats = family_choi(family, grid)
+        assert mats.shape == (5, 4, 4)
+        for x, mat in zip(grid, mats):
+            np.testing.assert_array_equal(mat, choi(ctor(float(x))).state.mat)
+
+
+def test_family_choi_checks_every_point(monkeypatch):
+    # a registry entry whose point p = 0.2 loses 1.5e-9 of completeness,
+    # which the completeness check (tolerance 1e-9 on sum K^H K) sees first
+    ctor, key, kraus = QUBIT_FAMILIES["dephasing"]
+
+    def leaky(p):
+        return tuple(k * np.sqrt(1.0 - 1.5e-9 * (p == 0.2)) for k in kraus(p))
+
+    with monkeypatch.context() as m:
+        m.setitem(QUBIT_FAMILIES, "dephasing", (ctor, key, leaky))
+        with pytest.raises(ValidationError, match="completeness"):
+            family_choi("dephasing", np.array([0.1, 0.2, 0.3]))
+    # one bad matrix in the Choi stack, for each state check and the marginal
+    good = choi(dephasing(0.1)).state.mat
+    for bad, what in ((np.triu(np.full((4, 4), 0.25)), "Hermitian"),
+                      (np.diag([0.6, 0.6, -0.2, 0.0]), "eigenvalue"),
+                      (np.eye(4) * 0.3, "trace"),
+                      (np.diag([0.7, 0.0, 0.3, 0.0]), "marginal")):
+        monkeypatch.setattr(channels, "_choi_gram", lambda ks, bad=bad: np.stack([good, bad]))
+        with pytest.raises(ValidationError, match=what):
+            family_choi("dephasing", np.array([0.1, 0.2]))
+
+
+def test_kraus_check_on_stacks():
+    good = np.stack([np.eye(2, dtype=complex)])
+    _check_kraus(np.stack([good, good]))
+    with pytest.raises(ValidationError):
+        _check_kraus(np.stack([good, 0.5 * good]))
+    with pytest.raises(ValidationError):
+        _check_kraus(np.stack([good, np.full_like(good, np.nan)]))
 
 
 def test_completeness_enforced():

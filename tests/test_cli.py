@@ -210,8 +210,9 @@ def test_strong_converse_rate_note(capsys):
     covered = "rate = ec1 + delta2 >= true entanglement cost + delta2"
     uncovered = ("rate = ec1 + delta2 is not shown to bound the true entanglement cost"
                  " + delta2: E_C(N) <= E_F(J) for the Choi state J is not established"
-                 " for this channel type, and outside 2->2 a heuristic ec1 may also"
-                 " undershoot")
+                 " for the declared channel type (coverage goes by type, so a Pauli"
+                 " channel given as kraus gets this note), and outside 2->2 a heuristic"
+                 " ec1 may also undershoot")
     z, o = [0, 0], [1, 0]
     for channel, note in (('{"type":"identity","d":2}', covered),
                           (DEPH, covered),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entcost.channels import (
+    QUBIT_FAMILIES,
     amplitude_damping,
     choi,
     dephasing,
@@ -121,6 +122,44 @@ def test_security_region_families():
     assert rows[0].values["nu_max"] == UNBOUNDED  # r = 0 storage is useless
     with pytest.raises(ValueError):
         security_region("mystery", grid)
+
+
+def test_security_region_matches_per_point_path():
+    # the stacked sweep against ec1_qubit on one channel at a time, on a grid
+    # with the kinks 1/2 (dephasing) and 2/3 (depolarizing) and both ends
+    grid = np.concatenate([np.linspace(0.0, 1.0, 61), [0.0, 0.5, 2 / 3, 1.0]])
+    for family, (ctor, _, _) in QUBIT_FAMILIES.items():
+        rows = security_region(family, grid)
+        assert [r.param for r in rows] == grid.tolist()
+        for x, row in zip(grid, rows):
+            want = ec1_qubit(ctor(float(x)))
+            assert abs(row.values["ec1"] - want) <= 1e-15, (family, x)
+            # exact zeros stay exact, so nu_max is the unbounded marker there
+            assert (row.values["ec1"] == 0.0) == (want == 0.0), (family, x)
+            assert (row.values["nu_max"] == UNBOUNDED) == (want == 0.0), (family, x)
+
+
+def test_security_region_exact_zero_rows():
+    def ec1_at(family, xs):
+        return [r.values["ec1"] for r in security_region(family, xs)]
+
+    assert ec1_at("dephasing", [0.5]) == [0.0]
+    assert ec1_at("depolarizing", [2 / 3, 0.7, 0.9, 1.0]) == [0.0] * 4
+    assert ec1_at("amplitude_damping", [0.0]) == [0.0]
+    for family, x in (("dephasing", 0.5), ("depolarizing", 2 / 3),
+                      ("amplitude_damping", 0.0)):
+        assert security_region(family, [x])[0].values["nu_max"] == UNBOUNDED
+
+
+def test_security_region_rejects_parameters_outside_unit_interval():
+    # the range check itself must fire: NaN compares false both ways, and a
+    # value past 1 would otherwise surface only as a non-finite Kraus entry
+    for family in QUBIT_FAMILIES:
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                security_region(family, [0.0, 0.5, bad])
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                QUBIT_FAMILIES[family][0](bad)
 
 
 def test_dephasing_curves_endpoints():
