@@ -63,11 +63,12 @@ def _check_choi_marginal(mat: np.ndarray, dim_out: int, dim_in: int) -> None:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map given by Kraus operators of shape (dim_out, dim_in)."""
+    """CPTP map given by a read-only Kraus stack ``kraus`` of shape
+    (k, dim_out, dim_in), k >= 1; any sequence of k operators is copied into it."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
         din, dout = int(self.dim_in), int(self.dim_out)
@@ -75,20 +76,14 @@ class KrausChannel:
             raise ValueError("channel dimensions must be positive")
         if din * dout > MAX_CHANNEL_DIM:
             raise ValueError(f"dim_in * dim_out must not exceed {MAX_CHANNEL_DIM}")
-        ops = []
-        for k in self.kraus:
-            arr = np.array(k, dtype=complex)
-            if arr.shape != (dout, din):
-                raise ValueError(
-                    f"Kraus operator shape {arr.shape}, expected {(dout, din)}")
-            arr.setflags(write=False)
-            ops.append(arr)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        _check_kraus(np.stack(ops))
+        ks = np.array(self.kraus, dtype=complex)
+        if ks.shape[1:] != (dout, din) or not len(ks):
+            raise ValueError(f"Kraus stack shape {ks.shape}, expected (k >= 1, {dout}, {din})")
+        _check_kraus(ks)
+        ks.setflags(write=False)
         object.__setattr__(self, "dim_in", din)
         object.__setattr__(self, "dim_out", dout)
-        object.__setattr__(self, "kraus", tuple(ops))
+        object.__setattr__(self, "kraus", ks)
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"channel input dimension {din} does not match subsystem 0 of {rho.dims}")
     anc = rho.dim // din
-    ks = np.stack(ch.kraus)
+    ks = ch.kraus
     left = (ks.reshape(-1, din) @ rho.mat.reshape(din, -1)).reshape(
         len(ks), dout * anc, din, anc)
     out = np.tensordot(left, ks.conj(), axes=([0, 2], [0, 2]))   # [oa, b, p]
@@ -140,12 +135,12 @@ def _choi_gram(ks: np.ndarray) -> np.ndarray:
 def choi(ch: KrausChannel) -> ChoiState:
     """Choi state of the channel (see :func:`_choi_gram`)."""
     return ChoiState(ch.dim_in, ch.dim_out, DensityMatrix(
-        (ch.dim_out, ch.dim_in), _choi_gram(np.stack(ch.kraus))))
+        (ch.dim_out, ch.dim_in), _choi_gram(ch.kraus)))
 
 
 def identity(d: int = 2) -> KrausChannel:
     """Identity channel on a d-dimensional system."""
-    return KrausChannel(d, d, (np.eye(d, dtype=complex),))
+    return KrausChannel(d, d, np.eye(d, dtype=complex)[None])
 
 
 # Each qubit family's Kraus operators, defined once for parameters x of shape
@@ -172,11 +167,11 @@ def _family_kraus(kind: str, x, error=ValueError) -> np.ndarray:
     bad = ~((x >= 0.0) & (x <= 1.0))
     if bad.any():
         raise error(f"{kind} parameter {float(x[bad][0])} outside [0, 1]")
-    return np.stack(QUBIT_FAMILIES[kind][2](x[..., None, None]), axis=-3)
+    return np.stack(QUBIT_FAMILIES[kind][1](x[..., None, None]), axis=-3)
 
 
 def _family_channel(kind: str, x, error=ValueError) -> KrausChannel:
-    return KrausChannel(2, 2, tuple(_family_kraus(kind, x, error)))
+    return KrausChannel(2, 2, _family_kraus(kind, x, error))
 
 
 def family_choi(kind: str, x) -> np.ndarray:
@@ -228,16 +223,15 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int,
                    rng: np.random.Generator) -> KrausChannel:
     """Haar-random channel from a random Stinespring isometry."""
     v = haar_isometry(dim_out * kraus_count, dim_in, rng)
-    ops = tuple(v[i * dim_out:(i + 1) * dim_out, :] for i in range(kraus_count))
-    return KrausChannel(dim_in, dim_out, ops)
+    return KrausChannel(dim_in, dim_out, v.reshape(kraus_count, dim_out, dim_in))
 
 
 # Parametrized qubit families:
-# name -> (constructor, wire-format parameter key, Kraus stack of a parameter array).
+# name -> (wire-format parameter key, Kraus stack of a parameter array).
 QUBIT_FAMILIES = {
-    "dephasing": (dephasing, "p", _dephasing_kraus),
-    "depolarizing": (depolarizing, "r", _depolarizing_kraus),
-    "amplitude_damping": (amplitude_damping, "r", _amplitude_damping_kraus),
+    "dephasing": ("p", _dephasing_kraus),
+    "depolarizing": ("r", _depolarizing_kraus),
+    "amplitude_damping": ("r", _amplitude_damping_kraus),
 }
 
 # Channel types that teleportation with the Choi state J simulates, so that
@@ -294,7 +288,7 @@ def channel_from_json(obj) -> KrausChannel:
             raise SchemaError(f"identity dimension {d} exceeds the supported range")
         return identity(d)
     if isinstance(kind, str) and kind in QUBIT_FAMILIES:
-        key = QUBIT_FAMILIES[kind][1]
+        key = QUBIT_FAMILIES[kind][0]
         val = _numbers(obj.get(key), (), f"{kind} channel parameter '{key}'")
         return _family_channel(kind, val, SchemaError)
     if kind == "kraus":
@@ -309,7 +303,7 @@ def channel_from_json(obj) -> KrausChannel:
         # each [re, im] pair is one complex128 in memory, signed zeros included
         pairs = _numbers(ops, (len(ops), dout * din, 2),
                          "kraus 'ops' (row-major [re, im] pairs)")
-        return KrausChannel(din, dout, tuple(pairs.view(complex).reshape(-1, dout, din)))
+        return KrausChannel(din, dout, pairs.view(complex).reshape(-1, dout, din))
     raise SchemaError(f"unknown channel type {kind!r}")
 
 

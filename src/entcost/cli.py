@@ -164,7 +164,7 @@ def _emit_curve(rows: list[cost.CurveSample], pname: str, fmt: str, **head) -> s
 
 def _cmd_security_region(args) -> str:
     rows = cost.security_region(args.family, _grid(args.points, 1.0))
-    return _emit_curve(rows, QUBIT_FAMILIES[args.family][1], args.format,
+    return _emit_curve(rows, QUBIT_FAMILIES[args.family][0], args.format,
                        family=args.family,
                        threshold_proven=args.family in TELEPORTATION_COVERED)
 

@@ -217,6 +217,8 @@ class _EnsembleSearch:
     def start(self, restarts: int, seed: int, stream: int = 0) -> np.ndarray:
         """Mixings (restarts, m, rank): restart 0 is the spectral ensemble
         itself, restart i > 0 a Haar isometry from the stream (seed, stream, i)."""
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         if restarts * self.m * self.rank > MAX_TABLE_CELLS:
             raise ValueError(f"{restarts} restarts of {self.m} x {self.rank} mixings "
                              f"exceed {MAX_TABLE_CELLS} array entries")
@@ -294,9 +296,15 @@ class _EnsembleSearch:
         return Decomposition(tuple(items), self.rho)
 
 
-def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
-             moved: np.ndarray | None = None,
-             stop=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _certified(vals: np.ndarray, gg: np.ndarray, moved: np.ndarray) -> bool:
+    """E_F's certificate: the restart of lowest value is stationary (squared
+    gradient norm at most ``_STATIONARY``) and marked in ``moved``."""
+    best = np.argmin(vals)
+    return bool(moved[best] and gg[best] <= _STATIONARY)
+
+
+def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Riemannian gradient descent of every mixing in w (R, m, rank), in place.
 
     ``objective(w, *per_restart)`` maps mixings to their values (R,) and
@@ -307,28 +315,21 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
     polar retraction and halves it unless it passes the Armijo test
     (decrease 1e-4 step |g|^2).  A restart stops at a gradient norm below
     1e-8 or a step below 1e-10, or when a kept step leaves it unchanged.
-    With a ``moved`` mask (R,), for a nonnegative objective, the whole batch
-    stops once its restart of lowest value has a gradient norm below 1e-8
-    and is marked in ``moved``.  Each accepted step marks its restart in
-    place, and so does a value of 0, the objective's floor: an unmarked
-    start of zero gradient may be a saddle.  With ``stop``, a predicate on
-    the values (R,), the whole batch stops before the first step at whose
-    values it holds.  Returns the final values (R,), mixings and squared
-    gradient norms (R,).
+    The whole batch stops before the first step at which ``stop(vals, gg,
+    moved)`` holds, on the values, squared gradient norms and the ``moved``
+    mask (R,), which marks every restart that took an accepted step or has
+    value 0, the floor of both objectives: an unmarked start of zero
+    gradient may be a saddle.  Returns the final values, mixings, squared
+    gradient norms and mask.
     """
     vals, grad = objective(w, *per_restart)
-    if moved is not None:
-        moved |= vals <= 0.0
+    moved = vals <= 0.0
     step = np.ones(len(w))
     live = np.arange(len(w))
     for k in range(steps):
-        if stop is not None and stop(vals):
-            break
         gg = _inner(grad, grad)  # squared gradient norms
-        if moved is not None:
-            best = np.argmin(vals)
-            if moved[best] and gg[best] <= _STATIONARY:
-                break
+        if stop(vals, gg, moved):
+            break
         live = live[(gg[live] > _STATIONARY) & (step[live] >= 1e-10)]
         if live.size == 0:
             break
@@ -345,9 +346,8 @@ def _descend(w: np.ndarray, steps: int, objective, *per_restart: np.ndarray,
         num, den = (ss, sy) if k % 2 else (sy, np.maximum(_inner(y, y), 1e-3 * sy))
         step[acc] = np.divide(num, den, out=np.zeros_like(ss), where=ss > 0)  # not 0/0
         w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
-        if moved is not None:
-            moved[acc] = True
-    return vals, w, _inner(grad, grad)
+        moved[acc] = True
+    return vals, w, _inner(grad, grad), moved
 
 
 def _ppt_ccnr_lambda(rho: DensityMatrix) -> float:
@@ -405,35 +405,35 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     Seeded random-restart Riemannian gradient descent on the mixing
     isometry W of the spectral ensemble (Audenaert, Verstraete and De Moor,
     PRA 64, 052304 (2001)).  All ``restarts`` are screened together for
-    ``10 * sweeps`` gradient steps, then the best three (stable sort) are
-    polished together (at most 1000 steps); each phase stops once its best
-    restart is stationary after an accepted step.  Every evaluated
-    decomposition is feasible and every kept step lowers the value, so the
-    result never exceeds the start nor undershoots the true infimum.
-    ``converged`` means the best restart ends with a gradient norm below
-    1e-8 after at least one accepted step, or at least two restarts end
-    within ``tol`` of the best value.  A start of zero gradient, such as the
-    spectral ensemble of a degenerate spectrum, may be a saddle; it counts
-    only at value 0, the floor of E_F, or for a rank-1 state, whose
-    decomposition is unique.  Restart streams (seed, restart index) make it
-    deterministic for a fixed ``seed``.
+    ``10 * sweeps`` gradient steps; unless the screen ends certified, the
+    best three (stable sort) are then polished together (at most 1000
+    steps).  Both phases stop on the certificate :func:`_certified`: the
+    best restart has a gradient norm below 1e-8 and has taken an accepted
+    step or sits at value 0, the floor of E_F.  A start of zero gradient,
+    such as the spectral ensemble of a degenerate spectrum, may be a saddle,
+    so it does not certify.  Every evaluated decomposition is feasible and
+    every kept step lowers the value, so the result never exceeds the start
+    nor undershoots the true infimum.  ``converged`` means the certificate
+    holds at the end, or the state has rank 1 (its decomposition is
+    unique), or at least two restarts end within ``tol`` of the best value.
+    Restart streams (seed, restart index) make it deterministic for a fixed
+    ``seed``, which must be nonnegative.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho, max_items)
-    w = search.start(restarts, seed)
-    moved = np.full(restarts, search.rank == 1)  # a rank-1 state has one decomposition
-    vals, w, gg = _descend(w, 10 * sweeps, search.eof_gradient, moved=moved)
-    top = np.argsort(vals, kind="stable")[:3]
-    polish = moved[top]
-    vals[top], w[top], gg[top] = _descend(w[top], 1000, search.eof_gradient, moved=polish)
-    moved[top] = polish
+    vals, w, gg, moved = _descend(search.start(restarts, seed), 10 * sweeps,
+                                  search.eof_gradient, _certified)
+    if not _certified(vals, gg, moved):
+        top = np.argsort(vals, kind="stable")[:3]
+        vals[top], w[top], gg[top], moved[top] = _descend(w[top], 1000, search.eof_gradient,
+                                                          _certified)
     best = int(np.argmin(vals))
     decomp = search.decomposition(w[best] @ search.base)
     value = eof_cq_conditional(decomp)
-    converged = bool(moved[best] and gg[best] <= _STATIONARY
+    converged = bool(_certified(vals, gg, moved) or search.rank == 1  # one decomposition
                      or np.count_nonzero(vals <= vals[best] + tol) >= 2)
     return EofResult(value, decomp, restarts, converged)
 
@@ -456,14 +456,15 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     decompositions, and the larger budget can only smooth further, so
     ``lower <= upper`` holds by construction.
 
-    The batch stops once each budget's best restart reaches that budget's
-    support floor (:func:`_support_floors`), the smallest k with ``Lambda <=
-    G_k(1 - delta / t)`` (Chen, Albeverio and Fei, PRL 95, 210501 (2005); at
-    delta = 0 the Schmidt-number bound of Terhal and Horodecki, PRA 61,
-    040301 (2000)).  No decomposition goes below it, so the stop keeps both
-    bounds and may change only the witness.  Neither budget stops alone,
-    since each bound is taken over both budgets' candidates.  The floor is
-    internal and not reported.
+    The batch's stop predicate holds once each budget's best restart reaches
+    that budget's support floor (:func:`_support_floors`), the smallest k
+    with ``Lambda <= G_k(1 - delta / t)`` (Chen, Albeverio and Fei, PRL 95,
+    210501 (2005); at delta = 0 the Schmidt-number bound of Terhal and
+    Horodecki, PRA 61, 040301 (2000)).  No decomposition goes below it, so
+    the stop keeps both bounds and may change only the witness.  Neither
+    budget stops alone, since each bound is taken over both budgets'
+    candidates.  The floor is internal and not reported.  ``seed`` must be
+    nonnegative.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
@@ -475,10 +476,10 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     # a score of at most 2 floor + 1 is a raw support at the floor
     cap_up, cap_low = (2 * f + 1 for f in _support_floors(rho, (delta_up, delta_low)))
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
-    _, w, _ = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
-                       np.repeat([delta_up, delta_low], restarts),
-                       stop=lambda v: v[:restarts].min() <= cap_up
-                       and v[restarts:].min() <= cap_low)
+    w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
+                 lambda v, gg, moved: v[:restarts].min() <= cap_up
+                 and v[restarts:].min() <= cap_low,
+                 np.repeat([delta_up, delta_low], restarts))[1]
     rows = w @ search.base
     upper = search.smooth_value(rows, delta_up)
     best = upper.index(min(upper))

@@ -179,7 +179,8 @@ def test_constructor_rejects_out_of_range():
 
 def test_family_choi_stack_matches_single_channels():
     grid = np.array([0.0, 0.25, 0.5, 2 / 3, 1.0])
-    for family, (ctor, _, _) in QUBIT_FAMILIES.items():
+    for family in QUBIT_FAMILIES:
+        ctor = getattr(channels, family)
         mats = family_choi(family, grid)
         assert mats.shape == (5, 4, 4)
         for x, mat in zip(grid, mats):
@@ -189,13 +190,13 @@ def test_family_choi_stack_matches_single_channels():
 def test_family_choi_checks_every_point(monkeypatch):
     # a registry entry whose point p = 0.2 loses 1.5e-9 of completeness,
     # which the completeness check (tolerance 1e-9 on sum K^H K) sees first
-    ctor, key, kraus = QUBIT_FAMILIES["dephasing"]
+    key, kraus = QUBIT_FAMILIES["dephasing"]
 
     def leaky(p):
         return tuple(k * np.sqrt(1.0 - 1.5e-9 * (p == 0.2)) for k in kraus(p))
 
     with monkeypatch.context() as m:
-        m.setitem(QUBIT_FAMILIES, "dephasing", (ctor, key, leaky))
+        m.setitem(QUBIT_FAMILIES, "dephasing", (key, leaky))
         with pytest.raises(ValidationError, match="completeness"):
             family_choi("dephasing", np.array([0.1, 0.2, 0.3]))
     # one bad matrix in the Choi stack, for each state check and the marginal
@@ -221,6 +222,32 @@ def test_kraus_check_on_stacks():
 def test_completeness_enforced():
     with pytest.raises(ValidationError):
         KrausChannel(2, 2, (np.eye(2) * 0.5,))
+
+
+def test_kraus_stack_is_one_read_only_copy():
+    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    ch = KrausChannel(2, 2, ops)
+    assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == complex
+    assert not ch.kraus.flags.writeable
+    ops[0][0, 0] = 5.0
+    assert ch.kraus[0, 0, 0] == 1.0
+    rng = np.random.default_rng(61)
+    for din, dout, count in ((2, 3, 1), (3, 2, 2), (2, 4, 3)):
+        assert random_channel(din, dout, count, rng).kraus.shape == (count, dout, din)
+
+
+def test_kraus_stack_shape_errors():
+    for bad in ([np.eye(3)],                    # operator of the wrong shape
+                [np.eye(2)[:, :1], np.eye(2)[:, 1:]],
+                np.eye(2),                      # one operator, not a stack of them
+                [np.eye(2), np.eye(3)]):        # ragged
+        with pytest.raises(ValueError):
+            KrausChannel(2, 2, bad)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(k >= 1, 3, 2\)"):
+        KrausChannel(2, 3, np.eye(3)[:2])
+    for empty in ((), [], np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError, match="k >= 1"):
+            KrausChannel(2, 2, empty)
 
 
 def test_entanglement_breaking_examples():

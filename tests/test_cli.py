@@ -359,6 +359,17 @@ def test_dense_array_cap_is_a_usage_error(capsys):
         assert err.count("\n") == 1 and "1048576" in err, argv
 
 
+def test_negative_seed_is_one_usage_error(capsys):
+    # the seed is checked before any restart draws from it, so a lone
+    # restart refuses it too
+    for argv in (("eof", "--state", CC, "--numeric"),
+                 ("one-shot-cost", "--state", CC, "--eps", "0.1")):
+        for restarts in ("1", "2"):
+            code, out, err = invoke(capsys, *argv, "--restarts", restarts, "--seed", "-1")
+            assert (code, out, err) == (2, "", "error: seed must be nonnegative, got -1\n"), \
+                (argv, restarts)
+
+
 def test_help_exits_zero(capsys):
     for cmd in ("choi", "concurrence", "eof", "ec1", "security-region",
                 "strong-converse", "dephasing-curves", "entropy", "smooth-h0",

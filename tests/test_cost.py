@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import entcost.channels
 from entcost.channels import (
     QUBIT_FAMILIES,
     amplitude_damping,
@@ -128,7 +129,8 @@ def test_security_region_matches_per_point_path():
     # the stacked sweep against ec1_qubit on one channel at a time, on a grid
     # with the kinks 1/2 (dephasing) and 2/3 (depolarizing) and both ends
     grid = np.concatenate([np.linspace(0.0, 1.0, 61), [0.0, 0.5, 2 / 3, 1.0]])
-    for family, (ctor, _, _) in QUBIT_FAMILIES.items():
+    for family in QUBIT_FAMILIES:
+        ctor = getattr(entcost.channels, family)
         rows = security_region(family, grid)
         assert [r.param for r in rows] == grid.tolist()
         for x, row in zip(grid, rows):
@@ -159,7 +161,7 @@ def test_security_region_rejects_parameters_outside_unit_interval():
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                 security_region(family, [0.0, 0.5, bad])
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-                QUBIT_FAMILIES[family][0](bad)
+                getattr(entcost.channels, family)(bad)
 
 
 def test_dephasing_curves_endpoints():

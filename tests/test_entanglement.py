@@ -55,6 +55,11 @@ def bell_dm():
     return DensityMatrix((2, 2), np.outer(BELL_PLUS, BELL_PLUS))
 
 
+def never(vals, gg, moved):
+    """A ``_descend`` stop predicate that never ends the batch."""
+    return False
+
+
 def cc_state():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = mat[3, 3] = 0.5
@@ -230,12 +235,71 @@ def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
     out = sum(k @ np.outer(psi, psi.conj()) @ k.conj().T for k in kraus)
     out = 0.5 * (out + out.conj().T)
     search = _EnsembleSearch(DensityMatrix((3, 3), out / out.trace().real), None)
-    vals, w = _descend(search.start(8, 12), 30, search.eof_gradient)[:2]
+    vals, w = _descend(search.start(8, 12), 30, search.eof_gradient, never)[:2]
     top = np.argsort(vals, kind="stable")[:3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        polished = _descend(w[top], 1000, search.eof_gradient)[0]
+        polished = _descend(w[top], 1000, search.eof_gradient, never)[0]
     assert np.all(polished <= vals[top])
+
+
+def test_descend_stop_that_holds_at_the_start_takes_no_step():
+    # the predicate sees the start values, squared gradient norms and mask
+    # before the first step; holding there, it costs one objective call
+    from entcost.entanglement import _descend, _EnsembleSearch, _inner
+
+    search = _EnsembleSearch(random_density_matrix((2, 3), 3, np.random.default_rng(71)), None)
+    start = search.start(5, 2)
+    vals0, grad0 = search.eof_gradient(start)
+    calls, seen = [], []
+
+    def counted(w):
+        calls.append(len(w))
+        return search.eof_gradient(w)
+
+    def stop(vals, gg, moved):
+        seen.append((vals.copy(), gg.copy(), moved.copy()))
+        return vals.min() <= vals0.min()
+
+    vals, w, gg, moved = _descend(start.copy(), 50, counted, stop)
+    assert calls == [5] and len(seen) == 1
+    assert w.tobytes() == start.tobytes()
+    np.testing.assert_array_equal(vals, vals0)
+    np.testing.assert_array_equal(gg, _inner(grad0, grad0))
+    assert not moved.any()
+    for got, want in zip(seen[0], (vals, gg, moved)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_descend_marks_exactly_the_moved_and_the_zero_restarts():
+    # restart 0 is the spectral ensemble: on the Werner state a saddle of zero
+    # gradient that never steps, on the classically correlated state a
+    # product ensemble at value 0; every Haar restart steps
+    from entcost.entanglement import _descend, _EnsembleSearch
+
+    for rho, zero_start in ((werner(3, -0.5), False), (cc_state(), True)):
+        search = _EnsembleSearch(rho, None)
+        start = search.start(6, 3)
+        vals0 = search.eof_gradient(start)[0]
+        vals, w, gg, moved = _descend(start.copy(), 5, search.eof_gradient, never)
+        stepped = (w != start).any(axis=(1, 2))
+        np.testing.assert_array_equal(moved, stepped | (vals0 <= 0.0))
+        assert moved[0] == zero_start and not stepped[0]
+        assert stepped[1:].all()
+        assert np.all(vals[stepped] < vals0[stepped])
+
+
+def test_negative_seed_is_refused_at_every_restart_count():
+    from entcost.cost import ec1_general
+
+    rho = random_density_matrix((2, 2), 3, np.random.default_rng(73))
+    channel = random_channel(3, 2, 2, np.random.default_rng(73))
+    for restarts in (1, 2):
+        for call in (lambda: eof_numeric(rho, restarts=restarts, seed=-1),
+                     lambda: one_shot_cost_bounds(rho, 0.1, restarts=restarts, seed=-1),
+                     lambda: ec1_general(channel, restarts=restarts, seed=-1)):
+            with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+                call()
 
 
 def test_eof_numeric_separable_mixture():
@@ -387,20 +451,21 @@ def test_one_shot_classically_correlated_witness():
 
 
 def one_shot_batch(search, eps, restarts, seed):
-    """Final mixings of both budgets' restarts run as one batch with no stop
-    hook, as ``one_shot_cost_bounds`` runs them up to its floor stop."""
+    """Final mixings of both budgets' restarts run as one batch that never
+    stops early, as ``one_shot_cost_bounds`` runs them up to its floor stop."""
     from entcost.entanglement import _SMOOTH_STEPS, _descend
 
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
     deltas = np.repeat([0.5 * eps, 2.0 * math.sqrt(eps)], restarts)
-    return _descend(w, _SMOOTH_STEPS, search.smooth_gradient, deltas)[1]
+    return _descend(w, _SMOOTH_STEPS, search.smooth_gradient, never, deltas)[1]
 
 
 def test_one_shot_batch_equals_per_budget_search():
-    # with no stop hook, one batch of both budgets' restarts gives the bytes
-    # of one descent per budget, since a restart's trajectory depends only on
-    # its own rows; the floor stop ends that batch once both budgets are
-    # provably optimal, so it keeps both bounds and may change only the witness
+    # with a stop that never holds, one batch of both budgets' restarts gives
+    # the bytes of one descent per budget, since a restart's trajectory
+    # depends only on its own rows; the floor stop ends that batch once both
+    # budgets are provably optimal, so it keeps both bounds and may change
+    # only the witness
     from entcost.entanglement import _SMOOTH_STEPS, _descend, _EnsembleSearch
 
     rng = np.random.default_rng(37)
@@ -411,7 +476,7 @@ def test_one_shot_batch_equals_per_budget_search():
             deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
             alone = np.concatenate([
                 _descend(search.start(8, 5, stream), _SMOOTH_STEPS,
-                         functools.partial(search.smooth_gradient, delta=delta))[1]
+                         functools.partial(search.smooth_gradient, delta=delta), never)[1]
                 for stream, delta in enumerate(deltas)])
             batch = one_shot_batch(search, eps, 8, 5)
             assert batch.tobytes() == alone.tobytes(), (dims, eps)
