@@ -61,7 +61,7 @@ def _check_choi_marginal(mat: np.ndarray, dim_out: int, dim_in: int) -> None:
         raise ValidationError("Choi input marginal deviates from I/dim_in beyond 1e-9")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class KrausChannel:
     """CPTP map given by a read-only Kraus stack ``kraus`` of shape
     (k, dim_out, dim_in), k >= 1; any sequence of k operators is copied into it."""
@@ -86,7 +86,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class ChoiState:
     """Choi state of a channel: PSD, trace 1, input marginal maximally mixed."""
 

@@ -106,7 +106,7 @@ def eof_pure(psi: PureState) -> float:
     return _entropy_from_eigs(sq / sq.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class Decomposition:
     """Weighted pure-state ensemble realizing a mixed bipartite target."""
 
@@ -144,7 +144,7 @@ def eof_cq_conditional(d: Decomposition) -> float:
     return float(sum(p * eof_pure(psi) for p, psi in d.items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class EofResult:
     """Outcome of the numerical entanglement-of-formation search."""
 
@@ -158,7 +158,7 @@ class EofResult:
             raise ValueError("result value is inconsistent with its decomposition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class OneShotCostBounds:
     """Bounds on the one-shot dilution cost at error eps.
 
@@ -456,12 +456,18 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     decompositions, and the larger budget can only smooth further, so
     ``lower <= upper`` holds by construction.
 
-    The batch's stop predicate holds once each budget's best restart reaches
-    that budget's support floor (:func:`_support_floors`), the smallest k
-    with ``Lambda <= G_k(1 - delta / t)`` (Chen, Albeverio and Fei, PRL 95,
-    210501 (2005); at delta = 0 the Schmidt-number bound of Terhal and
-    Horodecki, PRA 61, 040301 (2000)).  No decomposition goes below it, so
-    the stop keeps both bounds and may change only the witness.  Neither
+    The batch stops once each budget is done.  A budget is done when its
+    best restart reaches that budget's support floor
+    (:func:`_support_floors`), the smallest k with ``Lambda <= G_k(1 -
+    delta / t)`` (Chen, Albeverio and Fei, PRL 95, 210501 (2005); at delta
+    = 0 the Schmidt-number bound of Terhal and Horodecki, PRA 61, 040301
+    (2000)); no decomposition goes below it, so this clause keeps both
+    bounds.  It is also done when every one of its restarts is spent:
+    stationary, or its last accepted step lowered its score by less than
+    1e-4 of its excess (score less twice the support), a rate that needs
+    over 1e4 steps, 50 times the step cap, to reach the next support level.
+    That clause is a heuristic: ``upper`` stays certified by its witness but
+    may sit above what the full ``_SMOOTH_STEPS`` would reach.  Neither
     budget stops alone, since each bound is taken over both budgets'
     candidates.  The floor is internal and not reported.  ``seed`` must be
     nonnegative.
@@ -473,12 +479,19 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     search = _EnsembleSearch(rho, max_items)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
-    # a score of at most 2 floor + 1 is a raw support at the floor
-    cap_up, cap_low = (2 * f + 1 for f in _support_floors(rho, (delta_up, delta_low)))
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
-    w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient,
-                 lambda v, gg, moved: v[:restarts].min() <= cap_up
-                 and v[restarts:].min() <= cap_low,
+    # a score of at most 2 floor + 1 is a raw support at the floor
+    caps = np.array([2 * f + 1 for f in _support_floors(rho, (delta_up, delta_low))])
+    prev, drop = np.full((2, len(w)), np.inf)  # values before a step, last positive drops
+
+    def stop(v, gg, moved):
+        np.subtract(prev, v, out=drop, where=v < prev)
+        prev[:] = v
+        spent = (gg <= _STATIONARY) | (drop < 1e-4 * (v % 2))  # v % 2 is the excess
+        return bool(((v.reshape(2, -1).min(axis=1) <= caps)
+                     | spent.reshape(2, -1).all(axis=1)).all())
+
+    w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient, stop,
                  np.repeat([delta_up, delta_low], restarts))[1]
     rows = w @ search.base
     upper = search.smooth_value(rows, delta_up)

@@ -29,7 +29,7 @@ from .linalg import (
 MAX_TABLE_CELLS = 1 << 20   # cells of a dense classical table, read or built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class ClassicalJoint:
     """Nonnegative joint weight table P(x, y); may be subnormalized."""
 

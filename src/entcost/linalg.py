@@ -68,7 +68,7 @@ def _check_density(mat: np.ndarray, subnormalized: bool = False) -> None:
         raise ValidationError(f"normalized state has trace {float(worst)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class DensityMatrix:
     """Hermitian PSD operator on a product of finite subsystems.
 
@@ -108,7 +108,7 @@ class DensityMatrix:
         return float(self.mat.trace().real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class PureState:
     """Unit vector on a product of finite subsystems."""
 

@@ -518,6 +518,72 @@ def test_one_shot_stops_at_the_support_floor(monkeypatch):
     assert len(calls) <= 10, len(calls)
 
 
+def test_one_shot_stop_keeps_the_bounds_of_the_full_batch():
+    # each case fails a rejected stop: at eps = 0, (61, 1), (61, 21) and
+    # (62, 11) reach their reported support only after 28-45 steps, while
+    # their raw support stays put, which stall rules on the support level or
+    # on the best value cut off, and (61, 50) loses it if one spent restart
+    # ends its budget; the 2x3 states reach their floor but lose it to a
+    # spent rule at 1e-2 of the excess or to extrapolating the last drop over
+    # the remaining steps; (67, 13) ends by the spent clause
+    from entcost.entanglement import _EnsembleSearch
+
+    cases = [((3, 3), 3, 0.0, 8, (61, 1), 1), ((3, 3), 3, 0.0, 8, (61, 21), 21),
+             ((3, 3), 3, 0.0, 8, (61, 50), 50), ((3, 3), 4, 0.0, 8, (62, 11), 11),
+             ((3, 3), 3, 0.05, 8, (67, 13), 0),
+             ((2, 3), 2, 0.2, 2, (63, 110), 110), ((2, 3), 2, 0.2, 2, (63, 376), 376)]
+    for dims, rank, eps, restarts, key, seed in cases:
+        rho = random_density_matrix(dims, rank, np.random.default_rng(key))
+        search = _EnsembleSearch(rho, None)
+        rows = one_shot_batch(search, eps, restarts, seed) @ search.base
+        full = tuple(min(search.smooth_value(rows, d)) for d in (2.0 * math.sqrt(eps), 0.5 * eps))
+        b = one_shot_cost_bounds(rho, eps, restarts=restarts, seed=seed)
+        assert (b.lower, b.upper) == full, key
+
+
+def test_one_shot_stops_once_every_restart_is_spent(monkeypatch):
+    # the floor, support 1 at both budgets, is below the support 2 that the
+    # upper budget reaches, so only the spent clause can end the batch; 25
+    # calls here, 201 (the cap) with the floor stop alone
+    from entcost.entanglement import _EnsembleSearch, _support_floors
+
+    rho = random_density_matrix((3, 3), 3, np.random.default_rng((67, 10)))
+    eps = 0.05
+    deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
+    search = _EnsembleSearch(rho, None)
+    rows = one_shot_batch(search, eps, 8, 0) @ search.base
+    full = [min(search.smooth_value(rows, d)) for d in deltas]
+    assert _support_floors(rho, deltas) == [1, 1] and 2 ** full[0] == 2
+
+    calls = []
+    gradient = _EnsembleSearch.smooth_gradient
+
+    def counted(self, w, delta):
+        calls.append(len(w))
+        return gradient(self, w, delta)
+
+    monkeypatch.setattr(_EnsembleSearch, "smooth_gradient", counted)
+    b = one_shot_cost_bounds(rho, eps, seed=0)
+    assert [b.upper, b.lower] == full
+    assert len(calls) < 201, len(calls)
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a generated __eq__ would compare their arrays and raise; == is identity
+    from entcost.entropy import ClassicalJoint
+
+    makers = [bell_dm, lambda: PureState((2, 2), BELL_PLUS), lambda: max_entangled(2),
+              lambda: dephasing(0.3), lambda: choi(dephasing(0.3)),
+              lambda: ClassicalJoint(2, 2, np.full((2, 2), 0.25)),
+              lambda: Decomposition(((1.0, PureState((2, 2), BELL_PLUS)),), bell_dm()),
+              lambda: eof_numeric(bell_dm(), restarts=1),
+              lambda: one_shot_cost_bounds(bell_dm(), 0.0, restarts=1)]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_support_floor_never_exceeds_the_reported_support():
     # at both budgets, on both marginal orientations' smaller sides 2 and 3,
     # and on a subnormalized state, whose largest budget covers its trace
