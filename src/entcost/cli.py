@@ -154,12 +154,21 @@ def _cmd_ec1(args) -> str:
 
 
 def _emit_curve(rows: list[cost.CurveSample], pname: str, fmt: str, **head) -> str:
-    """Curve rows as CSV ``pname,<value names>`` or JSON ``{**head, "rows": [...]}``."""
+    """Curve rows as CSV ``pname,<value names>`` or JSON ``{**head, "rows": [...]}``.
+
+    Each row is formatted once, straight into a piece of the output text;
+    JSON rows go through one ``json.dumps`` per 4096 rows, so no copy of all
+    rows is held besides the text."""
+    names = [pname, *rows[0].values]
+
+    def cells(r):
+        return [_fmt_float(x) for x in (r.param, *r.values.values())]
+
     if fmt == "csv":
-        return "\n".join([",".join([pname, *rows[0].values])] + [
-            ",".join(str(_fmt_float(x)) for x in (r.param, *r.values.values()))
-            for r in rows])
-    return _emit_json({**head, "rows": [{pname: r.param, **r.values} for r in rows]})
+        return "\n".join([",".join(names), *(",".join(map(str, cells(r))) for r in rows)])
+    body = ", ".join(json.dumps([dict(zip(names, cells(r))) for r in rows[i:i + 4096]])[1:-1]
+                     for i in range(0, len(rows), 4096))
+    return f"{_emit_json({**head, 'rows': []})[:-3]}[{body}]}}"
 
 
 def _cmd_security_region(args) -> str:

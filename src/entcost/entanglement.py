@@ -27,7 +27,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     _dag,
-    haar_isometry,
+    _haar_isometries,
     herm_eig,
     numerical_rank,
     partial_transpose_mat,
@@ -103,7 +103,7 @@ def eof_pure(psi: PureState) -> float:
     if len(psi.dims) != 2:
         raise ValueError(f"expected a bipartite state, got dims {psi.dims}")
     sq = _schmidt_sq(psi.vec, *psi.dims)
-    return _entropy_from_eigs(sq / sq.sum())
+    return float(_entropy_from_eigs(sq / sq.sum()))
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
@@ -139,9 +139,12 @@ class Decomposition:
 def eof_cq_conditional(d: Decomposition) -> float:
     """Average marginal entropy sum_i p_i H(A)_{psi_i} of one decomposition.
 
-    This is the objective the decomposition search minimizes.
+    This is the objective the decomposition search minimizes.  The items'
+    Schmidt spectra come from one batched SVD.
     """
-    return float(sum(p * eof_pure(psi) for p, psi in d.items))
+    p, vecs = zip(*((p, psi.vec) for p, psi in d.items))
+    sq = _schmidt_sq(np.array(vecs), *d.target.dims)
+    return float((np.array(p) * _entropy_from_eigs(sq / sq.sum(axis=-1, keepdims=True))).sum())
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
@@ -224,8 +227,9 @@ class _EnsembleSearch:
                              f"exceed {MAX_TABLE_CELLS} array entries")
         u = np.zeros((restarts, self.m, self.rank), dtype=complex)
         u[0, :self.rank] = np.eye(self.rank)
-        for i in range(1, restarts):
-            u[i] = haar_isometry(self.m, self.rank, np.random.default_rng((seed, stream, i)))
+        if restarts > 1:
+            u[1:] = _haar_isometries(self.m, self.rank, [
+                np.random.default_rng((seed, stream, i)) for i in range(1, restarts)])
         return u
 
     def _spectra(self, w: np.ndarray):
@@ -277,14 +281,18 @@ class _EnsembleSearch:
         weight = np.arange(lam.shape[-1]) < cut[:, None, None]  # (R, 1, n), broadcast
         return 2.0 * support + excess, self._tangent(w, mat, vec, weight)
 
-    def smooth_value(self, rows: np.ndarray, delta: float) -> list[float]:
+    def smooth_value(self, rows: np.ndarray, delta) -> list:
         """Smooth conditional max-entropy of each decomposition in ``rows``
         (R, m, D), with Schmidt weights up to ``RANK_RTOL`` of their branch
-        weight counted as 0 (the package's rank rule)."""
+        weight counted as 0 (the package's rank rule).  A scalar budget
+        ``delta`` gives a list of R values; a sequence of budgets gives one
+        such list per budget, all from one Schmidt decomposition of the rows."""
         sq = _schmidt_sq(rows, self.da, self.db)
         sq = np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
-        support, _ = _smooth_support(np.moveaxis(sq, -1, 0), delta)
-        return [_log2_support(s) for s in support.tolist()]
+        delta = np.asarray(delta, dtype=float)
+        cols = np.expand_dims(np.moveaxis(sq, -1, 0), tuple(range(1, 1 + delta.ndim)))
+        support, _ = _smooth_support(cols, delta[..., None])
+        return np.vectorize(_log2_support, otypes=[float])(support).tolist()
 
     def decomposition(self, rows: np.ndarray) -> Decomposition:
         items = []
@@ -313,8 +321,14 @@ def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarra
     Each of the ``steps`` batched evaluations tries every live restart's
     Barzilai-Borwein step (long and short alternate, at most 1e3) through a
     polar retraction and halves it unless it passes the Armijo test
-    (decrease 1e-4 step |g|^2).  A restart stops at a gradient norm below
-    1e-8 or a step below 1e-10, or when a kept step leaves it unchanged.
+    (decrease 1e-4 step |g|^2).  The polar factor of ``X = W - step g`` is
+    ``X (X^H X)^(-1/2)`` from one batched r x r ``eigh``; on the tangent
+    ``X^H X = I + step^2 g^H g``, so no eigenvalue is below 1.  One
+    Newton-Schulz step ``Q (3 I - Q^H Q) / 2`` then takes its isometry error
+    from about eps times the largest eigenvalue down to rounding (Higham,
+    Functions of Matrices, SIAM 2008, ch. 8).  A restart stops at a
+    gradient norm below 1e-8 or a step below 1e-10, or when a kept step
+    leaves it unchanged.
     The whole batch stops before the first step at which ``stop(vals, gg,
     moved)`` holds, on the values, squared gradient norms and the ``moved``
     mask (R,), which marks every restart that took an accepted step or has
@@ -333,9 +347,10 @@ def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarra
         live = live[(gg[live] > _STATIONARY) & (step[live] >= 1e-10)]
         if live.size == 0:
             break
-        u, _, vh = np.linalg.svd(w[live] - step[live, None, None] * grad[live],
-                                 full_matrices=False)
-        trial = u @ vh
+        x = w[live] - step[live, None, None] * grad[live]
+        lam, v = np.linalg.eigh(_dag(x) @ x)  # I + step^2 g^H g on the tangent: lam >= 1
+        trial = x @ ((v / np.sqrt(lam)[:, None, :]) @ _dag(v))
+        trial = 1.5 * trial - 0.5 * trial @ (_dag(trial) @ trial)  # Newton-Schulz
         tv, tg = objective(trial, *(a[live] for a in per_restart))
         won = tv <= vals[live] - 1e-4 * step[live] * gg[live]
         step[live[~won]] *= 0.5
@@ -494,7 +509,6 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient, stop,
                  np.repeat([delta_up, delta_low], restarts))[1]
     rows = w @ search.base
-    upper = search.smooth_value(rows, delta_up)
+    upper, lower = search.smooth_value(rows, (delta_up, delta_low))
     best = upper.index(min(upper))
-    return OneShotCostBounds(min(search.smooth_value(rows, delta_low)), upper[best],
-                             search.decomposition(rows[best]))
+    return OneShotCostBounds(min(lower), upper[best], search.decomposition(rows[best]))

@@ -69,19 +69,18 @@ def binary_h(p: float) -> float:
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
 
 
-def _entropy_from_eigs(evals: np.ndarray) -> float:
+def _entropy_from_eigs(evals: np.ndarray):
+    """Entropy in bits of each spectrum along the last axis, negative
+    eigenvalues counted as 0."""
     w = np.clip(np.asarray(evals, dtype=float), 0.0, None)
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log2(w)).sum())
+    return -(w * np.log2(w, out=np.zeros_like(w), where=w > 0.0)).sum(axis=-1)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
     """Entropy -tr[rho log rho] in bits of a normalized state."""
     if rho.subnormalized and abs(rho.trace() - 1.0) > TRACE_TOL:
         raise ValueError("von Neumann entropy expects a normalized state")
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho.mat))
+    return float(_entropy_from_eigs(np.linalg.eigvalsh(rho.mat)))
 
 
 def cond_von_neumann(rho: DensityMatrix) -> float:
@@ -147,7 +146,7 @@ def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
 def classical_cond_entropy(p: ClassicalJoint) -> float:
     """Shannon conditional entropy H(X|Y) of a normalized table, in bits."""
     w = p.weights
-    return _entropy_from_eigs(w.reshape(-1)) - _entropy_from_eigs(w.sum(axis=0))
+    return float(_entropy_from_eigs(w.reshape(-1)) - _entropy_from_eigs(w.sum(axis=0)))
 
 
 def product_table(p: ClassicalJoint, n: int) -> ClassicalJoint:

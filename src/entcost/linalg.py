@@ -249,14 +249,22 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed isometry (rows x cols, orthonormal columns) from Gaussian QR."""
+def _haar_isometries(rows: int, cols: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Haar-distributed isometries (len(rngs), rows, cols), one complex
+    Gaussian matrix drawn from each generator, from one batched QR with the
+    phases of R's diagonal moved into Q."""
     if cols > rows:
         raise ValueError("isometry needs rows >= cols")
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    g = np.array([rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+                  for rng in rngs])
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed isometry (rows x cols, orthonormal columns) from Gaussian QR."""
+    return _haar_isometries(rows, cols, [rng])[0]
 
 
 def random_pure_state(dims: Iterable[int], rng: np.random.Generator) -> PureState:

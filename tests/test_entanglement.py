@@ -186,7 +186,9 @@ def test_eigen_ensemble_is_suboptimal_for_dephasing_choi():
     assert eof_numeric(rho, restarts=8, seed=0).value < 0.3546
 
 
-def test_eof_numeric_pure_state():
+def test_eof_numeric_pure_state(monkeypatch):
+    import entcost.entanglement as entanglement
+
     rng = np.random.default_rng(11)
     psi = random_pure_state((2, 2), rng)
     res = eof_numeric(psi.to_density_matrix(), restarts=3, seed=0)
@@ -195,9 +197,13 @@ def test_eof_numeric_pure_state():
     assert res.converged  # every restart ends at the single decomposition
     # a rank-1 state has a single decomposition, so a lone restart is stationary
     assert eof_numeric(psi.to_density_matrix(), restarts=1, seed=0).converged
-    # a lone restart short of stationary has nothing to agree with
-    rho = random_density_matrix((2, 2), 4, np.random.default_rng(2001))
+    # a lone restart that ends short of stationary has nothing to agree with
+    ends = []
+    descend = entanglement._descend
+    monkeypatch.setattr(entanglement, "_descend", lambda *a: ends.append(descend(*a)) or ends[-1])
+    rho = random_density_matrix((2, 2), 4, np.random.default_rng(2027))
     assert not eof_numeric(rho, restarts=1, seed=1).converged
+    assert ends[-1][2][0] > entanglement._STATIONARY
 
 
 def test_eof_numeric_stops_once_the_best_restart_is_stationary(monkeypatch):
@@ -241,6 +247,35 @@ def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
         warnings.simplefilter("error")
         polished = _descend(w[top], 1000, search.eof_gradient, never)[0]
     assert np.all(polished <= vals[top])
+
+
+def test_descend_keeps_every_restart_an_isometry():
+    # the polar factor from the eigh of X^H X alone leaves W^H W - I at about
+    # eps * lambda_max (2e-15 to 4e-15 on these 32 x 16 mixings); its
+    # Newton-Schulz step brings every restart to a few ulp (at most 7e-16)
+    from entcost.entanglement import _descend, _EnsembleSearch
+
+    search = _EnsembleSearch(werner(4, -0.9), None)
+    for seed in (1, 2):
+        w = _descend(search.start(8, seed), 100, search.eof_gradient, never)[1]
+        err = np.abs(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(w.shape[-1])).max(axis=(1, 2))
+        assert np.all(err <= 1.5e-15), (seed, err)
+
+
+def test_start_streams_are_one_haar_isometry_per_restart():
+    # one batched QR draws restart i >= 1 from its own stream (seed, stream, i),
+    # byte for byte what haar_isometry gives; restart 0 is the spectral ensemble
+    from entcost.entanglement import _EnsembleSearch
+
+    for dims, rank in (((2, 2), 4), ((2, 3), 2), ((3, 3), 5)):
+        search = _EnsembleSearch(random_density_matrix(dims, rank, np.random.default_rng(9)), None)
+        for seed, stream in ((0, 0), (7, 1)):
+            w = search.start(5, seed, stream)
+            np.testing.assert_array_equal(w[0], np.eye(search.m, search.rank))
+            for i in range(1, 5):
+                want = haar_isometry(search.m, search.rank, np.random.default_rng((seed, stream, i)))
+                assert w[i].tobytes() == want.tobytes(), (dims, seed, stream, i)
+        assert search.start(1, 3).tobytes() == search.start(5, 3)[:1].tobytes()
 
 
 def test_descend_stop_that_holds_at_the_start_takes_no_step():
