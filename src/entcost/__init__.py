@@ -22,7 +22,6 @@ from .channels import (
     dephasing,
     depolarizing,
     identity,
-    is_entanglement_breaking_qubit,
     random_channel,
 )
 from .entropy import (
@@ -51,7 +50,6 @@ from .entanglement import (
 )
 from .cost import (
     ConverseParams,
-    CurveSample,
     Ec1Estimate,
     UNBOUNDED,
     definetti_count_log2,

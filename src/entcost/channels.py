@@ -25,11 +25,9 @@ from .linalg import (
     _dag,
     haar_isometry,
     partial_trace_mat,
-    partial_transpose_mat,
 )
 
 COMPLETENESS_TOL = 1e-9   # max-entry deviation of sum K^dag K from identity
-PPT_TOL = 1e-9            # partial-transpose eigenvalues above -PPT_TOL count PSD
 MAX_CHANNEL_DIM = 64      # dim_in * dim_out cap
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -202,21 +200,6 @@ def amplitude_damping(r: float) -> KrausChannel:
     identity and r=0 measures and resets to |0>.
     """
     return _family_channel("amplitude_damping", r)
-
-
-def is_entanglement_breaking_qubit(ch: KrausChannel) -> bool:
-    """PPT test on the Choi state; exact for qubit-to-qubit channels.
-
-    In 2x2 the positive partial transpose criterion characterizes
-    separability, and a separable Choi state is equivalent to the channel
-    breaking all entanglement.
-    """
-    if ch.dim_in != 2 or ch.dim_out != 2:
-        raise ValueError("entanglement breaking test supports 2 -> 2 channels only")
-    c = choi(ch)
-    pt = partial_transpose_mat(c.state.mat, c.state.dims, sys=1)
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-    return bool(evals[0] >= -PPT_TOL)
 
 
 def random_channel(dim_in: int, dim_out: int, kraus_count: int,

@@ -153,33 +153,39 @@ def _cmd_ec1(args) -> str:
     return _emit_json({"ec1": est.value, "certified": est.certified})
 
 
-def _emit_curve(rows: list[cost.CurveSample], pname: str, fmt: str, **head) -> str:
-    """Curve rows as CSV ``pname,<value names>`` or JSON ``{**head, "rows": [...]}``.
+def _emit_curve(cols: dict[str, np.ndarray], fmt: str, **head) -> str:
+    """Curve columns, the parameter first, as CSV (a header of the column
+    names, then one line per row) or JSON ``{**head, "rows": [...]}``.
 
-    Each row is formatted once, straight into a piece of the output text;
-    JSON rows go through one ``json.dumps`` per 4096 rows, so no copy of all
-    rows is held besides the text."""
-    names = [pname, *rows[0].values]
+    The columns are formatted 4096 rows at a time, straight into pieces of
+    the output text, so no per-row object outlives its chunk.  A NaN cell is
+    refused, since JSON cannot carry it; infinities print as "inf"."""
+    names = list(cols)
+    for name, col in cols.items():
+        nan = np.isnan(col)
+        if nan.any():
+            raise ValueError(f"curve value {name} is NaN at {names[0]} "
+                             f"{cols[names[0]][nan.argmax()]}")
 
-    def cells(r):
-        return [_fmt_float(x) for x in (r.param, *r.values.values())]
+    def chunks():
+        for i in range(0, len(cols[names[0]]), 4096):
+            yield zip(*(map(_fmt_float, col[i:i + 4096].tolist()) for col in cols.values()))
 
     if fmt == "csv":
-        return "\n".join([",".join(names), *(",".join(map(str, cells(r))) for r in rows)])
-    body = ", ".join(json.dumps([dict(zip(names, cells(r))) for r in rows[i:i + 4096]])[1:-1]
-                     for i in range(0, len(rows), 4096))
+        return "\n".join([",".join(names),
+                          *("\n".join(",".join(map(str, r)) for r in rows) for rows in chunks())])
+    body = ", ".join(json.dumps([dict(zip(names, r)) for r in rows])[1:-1] for rows in chunks())
     return f"{_emit_json({**head, 'rows': []})[:-3]}[{body}]}}"
 
 
 def _cmd_security_region(args) -> str:
-    rows = cost.security_region(args.family, _grid(args.points, 1.0))
-    return _emit_curve(rows, QUBIT_FAMILIES[args.family][0], args.format,
-                       family=args.family,
+    cols = cost.security_region(args.family, _grid(args.points, 1.0))
+    return _emit_curve(cols, args.format, family=args.family,
                        threshold_proven=args.family in TELEPORTATION_COVERED)
 
 
 def _cmd_dephasing_curves(args) -> str:
-    return _emit_curve(cost.dephasing_curves(_grid(args.points, 0.5)), "p", args.format)
+    return _emit_curve(cost.dephasing_curves(_grid(args.points, 0.5)), args.format)
 
 
 _RATE_NOTE_COVERED = "rate = ec1 + delta2 >= true entanglement cost + delta2"

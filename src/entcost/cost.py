@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,19 +21,6 @@ from .entanglement import (_concurrence, _eof_from_concurrence, eof_2q, eof_nume
                            max_entangled)
 from .entropy import MAX_TABLE_CELLS, binary_h
 from .linalg import PureState, random_pure_state
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """One row of a figure sweep: a parameter and named values."""
-
-    param: float
-    values: dict[str, float]
-
-    def __post_init__(self):
-        for name, val in self.values.items():
-            if math.isnan(val):
-                raise ValueError(f"curve value {name} is NaN at param {self.param}")
 
 
 @dataclass(frozen=True)
@@ -126,9 +113,10 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
 UNBOUNDED = math.inf
 
 
-def _nu_max(ec1: float) -> float:
-    """Storage-rate threshold 1 / (2 ec1), unbounded when ec1 is zero."""
-    return UNBOUNDED if ec1 == 0.0 else 1.0 / (2.0 * ec1)
+def _nu_max(ec1) -> np.ndarray:
+    """Storage-rate threshold 1 / (2 ec1) of each value, unbounded where ec1 is zero."""
+    ec1 = np.asarray(ec1, dtype=float)
+    return np.divide(1.0, 2.0 * ec1, out=np.full_like(ec1, UNBOUNDED), where=ec1 != 0.0)
 
 
 def security_threshold(ch: KrausChannel) -> float:
@@ -143,7 +131,7 @@ def security_threshold(ch: KrausChannel) -> float:
     is zero, i.e. for entanglement-breaking storage noise, where security
     holds at every storage rate.
     """
-    return _nu_max(ec1_qubit(ch))
+    return float(_nu_max(ec1_qubit(ch)))
 
 
 # Grid points per stacked evaluation in security_region.  The stacks take
@@ -151,10 +139,12 @@ def security_threshold(ch: KrausChannel) -> float:
 _CHUNK = 4096
 
 
-def security_region(family: str, grid: Sequence[float]) -> list[CurveSample]:
+def security_region(family: str, grid: Sequence[float]) -> dict[str, np.ndarray]:
     """Security boundary nu_max(param) = 1/(2 ec1) for one channel family.
 
-    Proven for the families in :data:`entcost.channels.TELEPORTATION_COVERED`
+    Returns the columns ``{param: grid, "ec1": ..., "nu_max": ...}``, the
+    parameter under its wire name (``QUBIT_FAMILIES[family][0]``).  Proven
+    for the families in :data:`entcost.channels.TELEPORTATION_COVERED`
     (dephasing and depolarizing) through teleportation with the Choi state
     (see :func:`security_threshold`); the ``amplitude_damping`` rows are not
     covered by that argument.  The grid is evaluated in stacked chunks: one
@@ -164,41 +154,41 @@ def security_region(family: str, grid: Sequence[float]) -> list[CurveSample]:
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
     grid = np.asarray(grid, dtype=float)
-    rows = []
+    ec1 = np.empty(grid.shape)
     for start in range(0, grid.size, _CHUNK):
         part = grid[start:start + _CHUNK]
-        for param, c in zip(part.tolist(), _concurrence(family_choi(family, part)).tolist()):
-            e = _eof_from_concurrence(c)
-            rows.append(CurveSample(param, {"ec1": e, "nu_max": _nu_max(e)}))
-    return rows
+        ec1[start:start + part.size] = [
+            _eof_from_concurrence(c) for c in _concurrence(family_choi(family, part)).tolist()]
+    return {QUBIT_FAMILIES[family][0]: grid, "ec1": ec1, "nu_max": _nu_max(ec1)}
 
 
-def dephasing_curves(grid: Iterable[float]) -> list[CurveSample]:
-    """Capacity comparison rows for the qubit dephasing channel.
+def dephasing_curves(grid: Sequence[float]) -> dict[str, np.ndarray]:
+    """Capacity comparison columns for the qubit dephasing channel.
 
-    Per grid point p: the forward-assisted quantum capacity ``1 - h(p)``, the
-    closed-form single-letter cost bound ``h(1/2 + sqrt(p(1-p)))``, and the
-    entanglement-assisted quantum capacity ``1 - h(p)/2``, half of
-    ``log2 d + S(B) - S(AB)`` on the Choi state.  The bound q_arrow <= ec1 is
-    checked on every row; a violation raises, as it would contradict a theorem.
+    Per grid point p: the forward-assisted quantum capacity ``q_arrow = 1 - h(p)``,
+    the closed-form single-letter cost bound ``ec1 = h(1/2 + sqrt(p(1-p)))``,
+    and the entanglement-assisted quantum capacity ``q_e = 1 - h(p)/2``, half
+    of ``log2 d + S(B) - S(AB)`` on the Choi state; returned as the columns
+    ``{"p", "q_arrow", "ec1", "q_e"}``.  The bound q_arrow <= ec1 is checked
+    at every point; a violation raises, as it would contradict a theorem.
 
     The flip probability must lie in [0, 1/2]: dephasing at 1 - p is the
     same channel up to a Z rotation, and the capacity expressions are only
     valid on the canonical half of the range.
     """
-    rows = []
-    for p in grid:
-        p = float(p)
-        if not 0.0 <= p <= 0.5 + 1e-12:
-            raise ValueError(f"dephasing flip probability {p} outside [0, 1/2]")
-        q_arrow = 1.0 - binary_h(p)
-        ec1 = binary_h(0.5 + math.sqrt(p * (1.0 - p)))
-        q_e = 1.0 - 0.5 * binary_h(p)
-        if q_arrow > ec1 + 1e-12:
-            raise RuntimeError(
-                f"capacity bound q_arrow <= ec1 violated at p={p}: {q_arrow}, {ec1}")
-        rows.append(CurveSample(p, {"q_arrow": q_arrow, "ec1": ec1, "q_e": q_e}))
-    return rows
+    p = np.asarray(grid, dtype=float)
+    bad = ~((p >= 0.0) & (p <= 0.5 + 1e-12))
+    if bad.any():
+        raise ValueError(f"dephasing flip probability {p[bad][0]} outside [0, 1/2]")
+    h = np.array([binary_h(x) for x in p.tolist()])
+    q_arrow = 1.0 - h
+    ec1 = np.array([binary_h(0.5 + math.sqrt(x * (1.0 - x))) for x in p.tolist()])
+    bad = q_arrow > ec1 + 1e-12
+    if bad.any():
+        i = int(bad.argmax())
+        raise RuntimeError(f"capacity bound q_arrow <= ec1 violated at p={p[i]}: "
+                           f"{q_arrow[i]}, {ec1[i]}")
+    return {"p": p, "q_arrow": q_arrow, "ec1": ec1, "q_e": 1.0 - 0.5 * h}
 
 
 def identity_error_bound(rate: float, n: int) -> float:

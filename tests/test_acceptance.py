@@ -84,21 +84,19 @@ def dephasing_choi_q_e(p):
 
 
 def test_criterion_02_capacity_sandwich():
-    rows = ec.dephasing_curves(np.linspace(0.0, 0.5, 101))
-    for row in rows:
-        v = row.values
-        assert v["ec1"] - v["q_arrow"] >= -1e-12, row
-        assert v["q_e"] - v["q_arrow"] >= -1e-12, row
-        assert abs(v["q_e"] - dephasing_choi_q_e(row.param)) <= 1e-12, row
-    first = rows[0].values
-    assert first["q_arrow"] == first["ec1"] == first["q_e"] == 1.0
-    assert max(r.values["ec1"] for r in rows) == 1.0
+    cols = ec.dephasing_curves(np.linspace(0.0, 0.5, 101))
+    assert list(cols) == ["p", "q_arrow", "ec1", "q_e"]
+    for p, q_arrow, ec1, q_e in zip(*(col.tolist() for col in cols.values())):
+        assert ec1 - q_arrow >= -1e-12, p
+        assert q_e - q_arrow >= -1e-12, p
+        assert abs(q_e - dephasing_choi_q_e(p)) <= 1e-12, p
+    assert cols["q_arrow"][0] == cols["ec1"][0] == cols["q_e"][0] == 1.0
+    assert max(cols["ec1"]) == 1.0
     # at maximal dephasing the channel is entanglement breaking: the cost
     # bound meets the forward capacity at zero while q_e is exactly 1/2
-    last = rows[-1].values
-    assert last["ec1"] == pytest.approx(0.0, abs=1e-12)
-    assert last["q_arrow"] == pytest.approx(0.0, abs=1e-12)
-    assert last["q_e"] == pytest.approx(0.5, abs=1e-12)
+    assert cols["ec1"][-1] == pytest.approx(0.0, abs=1e-12)
+    assert cols["q_arrow"][-1] == pytest.approx(0.0, abs=1e-12)
+    assert cols["q_e"][-1] == pytest.approx(0.5, abs=1e-12)
     print("\nPASS criterion 2: q_arrow <= ec1 and q_arrow <= q_e with slack "
           ">= -1e-12 and q_e equal to its Choi-state value to 1e-12 at 101 "
           "points; curves coincide at p=0")
@@ -159,14 +157,14 @@ def test_criterion_05_entanglement_breaking_thresholds():
     for r in GRID_101:
         c = choi_c(ec.depolarizing, r)
         assert (c <= 1e-9) == (r >= 2.0 / 3.0 - 1e-9), r
-        assert ec.is_entanglement_breaking_qubit(ec.depolarizing(r)) == (c <= 1e-9)
+        assert (ec.ec1_qubit(ec.depolarizing(r)) == 0.0) == (c <= 1e-9)
         oracle = concurrence_oracle(ec.choi(ec.depolarizing(r)).state)
         assert abs(c - oracle) <= 1e-6
     # dephasing: breaking only at p = 1/2
     for p in GRID_101:
         c = choi_c(ec.dephasing, p)
         assert (c <= 1e-9) == (abs(p - 0.5) < 1e-12), p
-        assert ec.is_entanglement_breaking_qubit(ec.dephasing(p)) == (c <= 1e-9)
+        assert (ec.ec1_qubit(ec.dephasing(p)) == 0.0) == (c <= 1e-9)
     # amplitude damping: breaking only at r = 0
     lo, hi = 0.0, 1.0
     for _ in range(30):
@@ -179,10 +177,10 @@ def test_criterion_05_entanglement_breaking_thresholds():
     for r in GRID_101:
         c = choi_c(ec.amplitude_damping, r)
         assert (c <= 1e-9) == (r == 0.0), r
-        assert ec.is_entanglement_breaking_qubit(ec.amplitude_damping(r)) == (c <= 1e-9)
+        assert (ec.ec1_qubit(ec.amplitude_damping(r)) == 0.0) == (c <= 1e-9)
     print("\nPASS criterion 5: breaking thresholds located (depolarizing 2/3 "
-          "within 1e-3, dephasing only at 1/2, damping only at 0); PPT test "
-          "agrees with vanishing concurrence everywhere")
+          "within 1e-3, dephasing only at 1/2, damping only at 0); ec1 is "
+          "exactly 0 where the concurrence vanishes, and only there")
 
 
 def test_criterion_06_security_regions():
@@ -192,17 +190,17 @@ def test_criterion_06_security_regions():
         ("depolarizing", ec.depolarizing, 0.0, lambda x: x >= 2.0 / 3.0 - 1e-9),
         ("amplitude_damping", ec.amplitude_damping, 1.0, lambda x: x == 0.0),
     ):
-        rows = ec.security_region(family, GRID_101)
-        assert len(rows) == 101
-        for row in rows:
-            nu = row.values["nu_max"]
-            if unbounded(row.param):
-                assert math.isinf(nu), (family, row.param)
+        cols = ec.security_region(family, GRID_101)
+        xs, ec1, nu_max = cols.values()
+        assert len(xs) == len(ec1) == len(nu_max) == 101
+        for x, e, nu in zip(xs.tolist(), ec1.tolist(), nu_max.tolist()):
+            if unbounded(x):
+                assert math.isinf(nu), (family, x)
             else:
-                assert abs(nu - 1.0 / (2.0 * row.values["ec1"])) <= 1e-12
+                assert abs(nu - 1.0 / (2.0 * e)) <= 1e-12
                 assert nu >= 0.5 - 1e-12
-        at_ident = [r for r in rows if r.param == ident_param][0]
-        assert abs(at_ident.values["nu_max"] - 0.5) <= 1e-9, family
+        at_ident = nu_max[xs.tolist().index(ident_param)]
+        assert abs(at_ident - 0.5) <= 1e-9, family
     print("\nPASS criterion 6: nu_max = 1/(2 ec1), 0.5 at each identity limit, "
           "unbounded past every breaking threshold")
 

@@ -17,9 +17,9 @@ from entcost.channels import (
     depolarizing,
     family_choi,
     identity,
-    is_entanglement_breaking_qubit,
     random_channel,
 )
+from entcost.entanglement import concurrence_2q
 from entcost.linalg import (
     DensityMatrix,
     ValidationError,
@@ -251,17 +251,16 @@ def test_kraus_stack_shape_errors():
 
 
 def test_entanglement_breaking_examples():
-    assert is_entanglement_breaking_qubit(depolarizing(0.7)) is True
-    assert is_entanglement_breaking_qubit(dephasing(0.3)) is False
-    assert is_entanglement_breaking_qubit(identity(2)) is False
-    assert is_entanglement_breaking_qubit(dephasing(0.5)) is True
-    assert is_entanglement_breaking_qubit(amplitude_damping(0.0)) is True
+    # A qubit channel breaks entanglement iff its Choi state is separable,
+    # i.e. iff the Choi concurrence vanishes.
+    def breaks(ch):
+        return concurrence_2q(choi(ch).state) == 0.0
 
-
-def test_entanglement_breaking_needs_qubits():
-    rng = np.random.default_rng(8)
-    with pytest.raises(ValueError):
-        is_entanglement_breaking_qubit(random_channel(3, 3, 2, rng))
+    assert breaks(depolarizing(0.7)) is True
+    assert breaks(dephasing(0.3)) is False
+    assert breaks(identity(2)) is False
+    assert breaks(dephasing(0.5)) is True
+    assert breaks(amplitude_damping(0.0)) is True
 
 
 def test_channel_json_constructors():

@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entcost.cli import _emit_curve, run, state_from_json
+from entcost import channels
+from entcost.cli import _emit_curve, _fmt_float, run, state_from_json
 from entcost.channels import SchemaError
-from entcost.cost import CurveSample, dephasing_curves
+from entcost.cost import _CHUNK, dephasing_curves, ec1_qubit
 from entcost.entropy import binary_h
 
 DEPH = '{"type":"dephasing","p":0.25}'
@@ -108,11 +109,11 @@ def test_dephasing_curves_csv(capsys):
 
 def test_csv_cells_print_the_json_values():
     # |x| in [1e12, 1e16) and -0.0 are where a %.12g cell would differ
-    rows = [CurveSample(1.5e12, {"a": -0.0, "b": 0.1}),
-            CurveSample(2.0, {"a": 1e-7, "b": math.inf}),
-            CurveSample(123456789012.5, {"a": 1.5e15, "b": 1 / 3})]
-    csv = _emit_curve(rows, "x", "csv").splitlines()
-    doc = json.loads(_emit_curve(rows, "x", "json"))
+    cols = {"x": np.array([1.5e12, 2.0, 123456789012.5]),
+            "a": np.array([-0.0, 1e-7, 1.5e15]),
+            "b": np.array([0.1, math.inf, 1 / 3])}
+    csv = _emit_curve(cols, "csv").splitlines()
+    doc = json.loads(_emit_curve(cols, "json"))
     assert csv[0] == "x,a,b"
     assert csv[1:] == [",".join(str(v) for v in row.values()) for row in doc["rows"]]
     assert csv[1] == "1500000000000,0,0.1"
@@ -120,12 +121,48 @@ def test_csv_cells_print_the_json_values():
 
 def test_dephasing_curves_full_grid(capsys):
     # ec1 exceeds q_e for p in (0, 0.00183], which a 1001-point grid samples
-    rows = dephasing_curves(np.linspace(0.0, 0.5, 1001))
-    assert len(rows) == 1001
-    assert all(r.values["q_arrow"] <= r.values["ec1"] for r in rows)
+    cols = dephasing_curves(np.linspace(0.0, 0.5, 1001))
+    assert all(len(col) == 1001 for col in cols.values())
+    assert all(cols["q_arrow"][i] <= cols["ec1"][i] for i in range(1001))
     code, out, _ = invoke(capsys, "dephasing-curves", "--points", "1001")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 1001
+
+
+def test_emit_curve_rejects_nan_prints_inf():
+    # JSON cannot carry NaN, so the output boundary refuses a NaN cell
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError, match="curve value b is NaN at x 2.0"):
+            _emit_curve({"x": np.array([1.0, 2.0]), "b": np.array([0.5, math.nan])}, fmt)
+    # infinities are the unbounded marker
+    cols = {"x": np.array([1.0, 2.0]), "b": np.array([math.inf, 0.5])}
+    assert _emit_curve(cols, "csv") == "x,b\n1,inf\n2,0.5"
+    assert json.loads(_emit_curve(cols, "json"))["rows"] == [{"x": 1, "b": "inf"},
+                                                             {"x": 2, "b": 0.5}]
+
+
+def test_curve_chunk_seams(capsys):
+    # 8193 points cross both the sweep's chunk and the 4096-row formatting
+    # chunk twice; no row may be lost or doubled at a seam
+    n = 8193
+    assert 2 * _CHUNK < n
+    cases = [(["security-region", "--family", fam], 1.0, getattr(channels, fam))
+             for fam in channels.QUBIT_FAMILIES]
+    cases.append((["dephasing-curves"], 0.5, channels.dephasing))
+    for argv, stop, ctor in cases:
+        code, out, _ = invoke(capsys, *argv, "--points", str(n))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        code, out, _ = invoke(capsys, *argv, "--points", str(n), "--format", "csv")
+        assert code == 0
+        header, *lines = out.splitlines()
+        names = header.split(",")
+        assert len(rows) == len(lines) == n, argv
+        assert lines == [",".join(str(row[k]) for k in names) for row in rows], argv
+        grid = np.linspace(0.0, stop, n).tolist()
+        assert [row[names[0]] for row in rows] == [_fmt_float(x) for x in grid], argv
+        for i in (4095, 4096, 4097, 8191, 8192):
+            assert rows[i]["ec1"] == _fmt_float(ec1_qubit(ctor(grid[i]))), (argv, i)
 
 
 def test_smooth_h0_table(capsys, tmp_path):

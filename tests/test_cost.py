@@ -17,7 +17,6 @@ from entcost.channels import (
 )
 from entcost.cost import (
     ConverseParams,
-    CurveSample,
     UNBOUNDED,
     definetti_count_log2,
     dephasing_curves,
@@ -46,6 +45,9 @@ def test_ec1_identity_and_entanglement_breaking():
     assert ec1_qubit(depolarizing(0.7)) == 0.0
     assert ec1_qubit(depolarizing(2 / 3)) == 0.0
     assert ec1_qubit(depolarizing(0.6)) > 0.0
+    assert ec1_qubit(dephasing(0.5)) == 0.0
+    assert ec1_qubit(dephasing(0.3)) > 0.0
+    assert ec1_qubit(amplitude_damping(0.0)) == 0.0
 
 
 def test_ec1_rejects_non_qubit():
@@ -111,16 +113,18 @@ def test_security_threshold_floor():
 
 def test_security_region_families():
     grid = np.linspace(0.0, 1.0, 11)
-    rows = security_region("depolarizing", grid)
-    assert len(rows) == 11
-    assert rows[0].values["nu_max"] == pytest.approx(0.5, abs=1e-9)
-    assert rows[-1].values["nu_max"] == UNBOUNDED
-    rows = security_region("dephasing", grid)
-    assert rows[5].values["nu_max"] == UNBOUNDED  # p = 0.5
-    assert math.isfinite(rows[4].values["nu_max"])
-    rows = security_region("amplitude_damping", grid)
-    assert rows[-1].values["nu_max"] == pytest.approx(0.5, abs=1e-9)
-    assert rows[0].values["nu_max"] == UNBOUNDED  # r = 0 storage is useless
+    cols = security_region("depolarizing", grid)
+    assert list(cols) == ["r", "ec1", "nu_max"]
+    assert all(len(col) == 11 for col in cols.values())
+    assert cols["nu_max"][0] == pytest.approx(0.5, abs=1e-9)
+    assert cols["nu_max"][-1] == UNBOUNDED
+    cols = security_region("dephasing", grid)
+    assert list(cols) == ["p", "ec1", "nu_max"]
+    assert cols["nu_max"][5] == UNBOUNDED  # p = 0.5
+    assert math.isfinite(cols["nu_max"][4])
+    cols = security_region("amplitude_damping", grid)
+    assert cols["nu_max"][-1] == pytest.approx(0.5, abs=1e-9)
+    assert cols["nu_max"][0] == UNBOUNDED  # r = 0 storage is useless
     with pytest.raises(ValueError):
         security_region("mystery", grid)
 
@@ -131,26 +135,26 @@ def test_security_region_matches_per_point_path():
     grid = np.concatenate([np.linspace(0.0, 1.0, 61), [0.0, 0.5, 2 / 3, 1.0]])
     for family in QUBIT_FAMILIES:
         ctor = getattr(entcost.channels, family)
-        rows = security_region(family, grid)
-        assert [r.param for r in rows] == grid.tolist()
-        for x, row in zip(grid, rows):
+        cols = security_region(family, grid)
+        assert cols[QUBIT_FAMILIES[family][0]].tolist() == grid.tolist()
+        for i, x in enumerate(grid):
             want = ec1_qubit(ctor(float(x)))
-            assert abs(row.values["ec1"] - want) <= 1e-15, (family, x)
+            assert abs(cols["ec1"][i] - want) <= 1e-15, (family, x)
             # exact zeros stay exact, so nu_max is the unbounded marker there
-            assert (row.values["ec1"] == 0.0) == (want == 0.0), (family, x)
-            assert (row.values["nu_max"] == UNBOUNDED) == (want == 0.0), (family, x)
+            assert (cols["ec1"][i] == 0.0) == (want == 0.0), (family, x)
+            assert (cols["nu_max"][i] == UNBOUNDED) == (want == 0.0), (family, x)
 
 
 def test_security_region_exact_zero_rows():
     def ec1_at(family, xs):
-        return [r.values["ec1"] for r in security_region(family, xs)]
+        return security_region(family, xs)["ec1"].tolist()
 
     assert ec1_at("dephasing", [0.5]) == [0.0]
     assert ec1_at("depolarizing", [2 / 3, 0.7, 0.9, 1.0]) == [0.0] * 4
     assert ec1_at("amplitude_damping", [0.0]) == [0.0]
     for family, x in (("dephasing", 0.5), ("depolarizing", 2 / 3),
                       ("amplitude_damping", 0.0)):
-        assert security_region(family, [x])[0].values["nu_max"] == UNBOUNDED
+        assert security_region(family, [x])["nu_max"][0] == UNBOUNDED
 
 
 def test_security_region_rejects_parameters_outside_unit_interval():
@@ -165,30 +169,29 @@ def test_security_region_rejects_parameters_outside_unit_interval():
 
 
 def test_dephasing_curves_endpoints():
-    rows = dephasing_curves(np.linspace(0.0, 0.5, 101))
-    first = rows[0].values
-    assert first["q_arrow"] == first["ec1"] == first["q_e"] == 1.0
-    quarter = rows[50].values
-    assert quarter["ec1"] == pytest.approx(binary_h(0.5 + math.sqrt(3) / 4), abs=1e-12)
-    last = rows[-1].values
-    assert last["q_arrow"] == pytest.approx(0.0, abs=1e-12)
-    assert last["ec1"] == pytest.approx(0.0, abs=1e-12)
-    assert last["q_e"] == pytest.approx(1.0 - 0.5 * binary_h(0.5), abs=1e-12)
-    assert last["q_e"] == pytest.approx(0.5, abs=1e-12)
+    cols = dephasing_curves(np.linspace(0.0, 0.5, 101))
+    assert list(cols) == ["p", "q_arrow", "ec1", "q_e"]
+    assert cols["q_arrow"][0] == cols["ec1"][0] == cols["q_e"][0] == 1.0
+    assert cols["ec1"][50] == pytest.approx(binary_h(0.5 + math.sqrt(3) / 4), abs=1e-12)
+    assert cols["q_arrow"][-1] == pytest.approx(0.0, abs=1e-12)
+    assert cols["ec1"][-1] == pytest.approx(0.0, abs=1e-12)
+    assert cols["q_e"][-1] == pytest.approx(1.0 - 0.5 * binary_h(0.5), abs=1e-12)
+    assert cols["q_e"][-1] == pytest.approx(0.5, abs=1e-12)
     # the bound attains its maximum 1 only at the noiseless end
-    assert max(r.values["ec1"] for r in rows) == 1.0
+    assert max(cols["ec1"]) == 1.0
 
 
 def test_dephasing_curves_sandwich_everywhere():
-    for row in dephasing_curves(np.linspace(0.0, 0.5, 101)):
-        assert row.values["q_arrow"] <= row.values["ec1"] + 1e-12
-        assert row.values["q_arrow"] <= row.values["q_e"] + 1e-12
+    cols = dephasing_curves(np.linspace(0.0, 0.5, 101))
+    for i, p in enumerate(cols["p"].tolist()):
+        assert cols["q_arrow"][i] <= cols["ec1"][i] + 1e-12
+        assert cols["q_arrow"][i] <= cols["q_e"][i] + 1e-12
         # half of log2 d + S(B) - S(AB) on the Choi state J, output B first
-        j = choi(dephasing(row.param)).state.mat
+        j = choi(dephasing(p)).state.mat
         out = np.einsum("abcb->ac", j.reshape(2, 2, 2, 2))
         s_b, s_ab = (-sum(w * math.log2(w) for w in np.linalg.eigvalsh(m) if w > 1e-15)
                      for m in (out, j))
-        assert row.values["q_e"] == pytest.approx((1.0 + s_b - s_ab) / 2, abs=1e-12)
+        assert cols["q_e"][i] == pytest.approx((1.0 + s_b - s_ab) / 2, abs=1e-12)
 
 
 def test_dephasing_curves_rejects_out_of_range():
@@ -274,23 +277,7 @@ def test_epsnet_size():
         epsnet_size(1, 0.0, 2, 2)
 
 
-def test_ec1_zero_iff_entanglement_breaking():
-    from entcost.channels import is_entanglement_breaking_qubit
-    grid = np.linspace(0.0, 1.0, 101)
-    for ctor in (dephasing, depolarizing, amplitude_damping):
-        for x in grid:
-            ch = ctor(float(x))
-            assert (ec1_qubit(ch) == 0.0) == is_entanglement_breaking_qubit(ch), (
-                ctor.__name__, x)
-
-
 def test_simulation_error_monotone_on_decade_grid():
     vals = [simulation_error(n, 1.0, 2, 2) for n in (100, 1000, 10_000, 100_000)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_curve_sample_rejects_nan():
-    with pytest.raises(ValueError):
-        CurveSample(0.5, {"v": float("nan")})
-    CurveSample(0.5, {"v": UNBOUNDED})  # infinities are the unbounded marker
