@@ -206,8 +206,6 @@ def _cmd_strong_converse(args) -> str:
             "n": args.n,
             "error_lower_bound": cost.identity_error_bound(args.rate, args.n),
         })
-    if args.channel is None:
-        raise SchemaError("strong-converse needs --channel or --identity")
     desc = _parse_json_arg(args.channel, "--channel")
     ch = channel_from_json(desc)
     ec1, certified = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
@@ -333,11 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strong-converse",
                        help="strong-converse error lower bounds")
-    p.add_argument("--identity", action="store_true",
-                   help="evaluate the noiseless-qubit bound 1 - 2^(-n(R-1))")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--identity", action="store_true",
+                      help="evaluate the noiseless-qubit bound 1 - 2^(-n(R-1))")
     p.add_argument("--rate", type=_float_arg, default=None,
                    help="code rate R for --identity mode")
-    p.add_argument("--channel", default=None, help="channel JSON description")
+    mode.add_argument("--channel", default=None, help="channel JSON description")
     p.add_argument("--delta1", type=_float_arg, default=0.1,
                    help="simulation slack delta1 > 0 (default 0.1)")
     p.add_argument("--delta2", type=_float_arg, default=0.2,

@@ -98,6 +98,12 @@ def _schmidt_sq(vecs: np.ndarray, da: int, db: int) -> np.ndarray:
     return np.linalg.svd(vecs.reshape(vecs.shape[:-1] + (da, db)), compute_uv=False) ** 2
 
 
+def _ruled(sq: np.ndarray) -> np.ndarray:
+    """Schmidt weights (..., n) with each one up to ``RANK_RTOL`` of its branch
+    weight set to 0: the package's rank rule on branch spectra."""
+    return np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
+
+
 def eof_pure(psi: PureState) -> float:
     """Entanglement of formation of a pure state: its marginal entropy."""
     if len(psi.dims) != 2:
@@ -269,26 +275,24 @@ class _EnsembleSearch:
         delta (scalar or (R,)) and the Riemannian gradients of their excess.
 
         The score orders (support, excess) lexicographically because the
-        excess lies in [0, 1].  Support is counted on the raw spectra.  The
-        excess is the sum over branches of their ``n + 1 - support``
-        smallest eigenvalues, less delta, so its weight is 1 on those
-        eigenvalues and 0 elsewhere (Ky Fan); the support, piecewise
-        constant, has no gradient.
+        excess lies in [0, 1]; both are read from the :func:`_ruled` spectra,
+        as in :meth:`smooth_value`.  The excess is the sum over branches of
+        their ``n + 1 - support`` smallest eigenvalues, less delta, so its
+        weight is 1 on those eigenvalues and 0 elsewhere (Ky Fan); the
+        support, piecewise constant, has no gradient.
         """
         mat, lam, vec = self._spectra(w)
-        support, excess = _smooth_support(np.moveaxis(lam, -1, 0), delta)
+        support, excess = _smooth_support(np.moveaxis(_ruled(lam), -1, 0), delta)
         cut = np.where(support > 0, lam.shape[-1] + 1 - support, 0)
         weight = np.arange(lam.shape[-1]) < cut[:, None, None]  # (R, 1, n), broadcast
         return 2.0 * support + excess, self._tangent(w, mat, vec, weight)
 
     def smooth_value(self, rows: np.ndarray, delta) -> list:
         """Smooth conditional max-entropy of each decomposition in ``rows``
-        (R, m, D), with Schmidt weights up to ``RANK_RTOL`` of their branch
-        weight counted as 0 (the package's rank rule).  A scalar budget
+        (R, m, D) on its :func:`_ruled` Schmidt spectra.  A scalar budget
         ``delta`` gives a list of R values; a sequence of budgets gives one
         such list per budget, all from one Schmidt decomposition of the rows."""
-        sq = _schmidt_sq(rows, self.da, self.db)
-        sq = np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
+        sq = _ruled(_schmidt_sq(rows, self.da, self.db))
         delta = np.asarray(delta, dtype=float)
         cols = np.expand_dims(np.moveaxis(sq, -1, 0), tuple(range(1, 1 + delta.ndim)))
         support, _ = _smooth_support(cols, delta[..., None])
@@ -464,12 +468,11 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     for the converse (lower) side; the metric of ``eps`` itself is open.
     ``restarts`` restarts per budget (streams 0 and 1) run as one batch,
     each at its own budget, through at most ``_SMOOTH_STEPS`` gradient
-    steps of :func:`_descend`, scored by (support, excess) with
-    the excess as the tiebreak within a support level.  The search counts
-    support on the raw spectra; the reported values apply the ``RANK_RTOL``
-    rank rule.  Both bounds are evaluated on the union of all candidate
-    decompositions, and the larger budget can only smooth further, so
-    ``lower <= upper`` holds by construction.
+    steps of :func:`_descend`, scored by (support, excess) with the excess
+    as the tiebreak within a support level, both under the :func:`_ruled`
+    rank rule of the reported values.  Both bounds are evaluated on the
+    union of all candidate decompositions, and the larger budget can only
+    smooth further, so ``lower <= upper`` holds by construction.
 
     The batch stops once each budget is done.  A budget is done when its
     best restart reaches that budget's support floor
@@ -495,7 +498,6 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
-    # a score of at most 2 floor + 1 is a raw support at the floor
     caps = np.array([2 * f + 1 for f in _support_floors(rho, (delta_up, delta_low))])
     prev, drop = np.full((2, len(w)), np.inf)  # values before a step, last positive drops
 

@@ -351,6 +351,8 @@ def test_exit_codes(capsys, tmp_path):
                  ("security-region", "--family", "dephasing", "--points", "1"),
                  ("strong-converse", "--identity", "--n", "3"),
                  ("strong-converse", "--n", "3"),
+                 ("strong-converse", "--identity", "--rate", "2", "--channel", DEPH,
+                  "--n", "3"),
                  ("constants", "--definetti", "--n", "3"),
                  ("constants", "--epsnet"),
                  ("eof", "--state", CC, "--numeric", "--restarts", "0"),

@@ -529,16 +529,11 @@ def test_one_shot_batch_equals_per_budget_search():
 def test_one_shot_stops_at_the_support_floor(monkeypatch):
     # both budgets reach their certified floor within a few steps; without
     # the stop the upper-budget restarts run on to the 200-step cap (201
-    # evaluations) and lower an excess that never lowers the support
+    # evaluations) and lower an excess that never lowers the support.  At
+    # eps = 0 the (61, 1) state reports support 2, its Terhal-Horodecki
+    # floor, and stops there because the search scores the reported support
+    # (a search that counted its branches' rank noise ran on to the cap)
     from entcost.entanglement import _EnsembleSearch, _support_floors
-
-    rho = random_density_matrix((3, 3), 3, np.random.default_rng(40))
-    eps = 0.01
-    search = _EnsembleSearch(rho, None)
-    rows = one_shot_batch(search, eps, 8, 0) @ search.base
-    deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
-    full = [min(search.smooth_value(rows, d)) for d in deltas]
-    assert [2 ** v for v in full] == _support_floors(rho, deltas)  # both certified
 
     calls = []
     gradient = _EnsembleSearch.smooth_gradient
@@ -547,20 +542,31 @@ def test_one_shot_stops_at_the_support_floor(monkeypatch):
         calls.append(len(w))
         return gradient(self, w, delta)
 
-    monkeypatch.setattr(_EnsembleSearch, "smooth_gradient", counted)
-    b = one_shot_cost_bounds(rho, eps, seed=0)
-    assert [b.upper, b.lower] == full
-    assert len(calls) <= 10, len(calls)
+    for key, eps, seed, budget in ((40, 0.01, 0, 10), ((61, 1), 0.0, 1, 100)):
+        rho = random_density_matrix((3, 3), 3, np.random.default_rng(key))
+        search = _EnsembleSearch(rho, None)
+        rows = one_shot_batch(search, eps, 8, seed) @ search.base
+        deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
+        full = [min(search.smooth_value(rows, d)) for d in deltas]
+        assert [2 ** v for v in full] == _support_floors(rho, deltas), key  # certified
+
+        calls.clear()
+        monkeypatch.setattr(_EnsembleSearch, "smooth_gradient", counted)
+        b = one_shot_cost_bounds(rho, eps, seed=seed)
+        monkeypatch.undo()
+        assert [b.upper, b.lower] == full, key
+        assert len(calls) <= budget, (key, len(calls))
+    assert full == [1.0, 1.0]  # the eps-0 state: 1 bit at both budgets
 
 
 def test_one_shot_stop_keeps_the_bounds_of_the_full_batch():
     # each case fails a rejected stop: at eps = 0, (61, 1), (61, 21) and
-    # (62, 11) reach their reported support only after 28-45 steps, while
-    # their raw support stays put, which stall rules on the support level or
-    # on the best value cut off, and (61, 50) loses it if one spent restart
-    # ends its budget; the 2x3 states reach their floor but lose it to a
-    # spent rule at 1e-2 of the excess or to extrapolating the last drop over
-    # the remaining steps; (67, 13) ends by the spent clause
+    # (62, 11) reach their reported support only after 28-45 steps, which
+    # stall rules on the support level or on the best value cut off, and
+    # (61, 50) loses it if one spent restart ends its budget; the 2x3
+    # states reach their floor but lose it to a spent rule at 1e-2 of the
+    # excess or to extrapolating the last drop over the remaining steps;
+    # (67, 13) ends by the spent clause
     from entcost.entanglement import _EnsembleSearch
 
     cases = [((3, 3), 3, 0.0, 8, (61, 1), 1), ((3, 3), 3, 0.0, 8, (61, 21), 21),
@@ -697,14 +703,14 @@ def test_one_shot_lower_never_exceeds_upper():
 
 def test_one_shot_drops_rank_noise_branch_weights():
     # support 2 is reachable at eps = 0: the search drives every branch's
-    # Schmidt weights beyond the two largest to round-off, and the reported
-    # bound certifies it
+    # Schmidt weights beyond the two largest to rank noise, which the rank
+    # rule counts as 0, and the reported bound certifies it
     rho = random_density_matrix((3, 3), 4, np.random.default_rng(17))
     b = one_shot_cost_bounds(rho, 0.0, seed=0)
     assert b.upper == 1.0
     for _, psi in b.witness.items:
         sq = np.linalg.svd(psi.vec.reshape(3, 3), compute_uv=False) ** 2
-        assert sq[2:].sum() <= 1e-12
+        assert (sq[2:] <= RANK_RTOL * sq.sum()).all()
 
 
 def test_one_shot_eps_range():
@@ -717,20 +723,19 @@ def test_one_shot_eps_range():
         one_shot_cost_bounds(zero, 0.1)
 
 
-def smooth_score_reference(sq, delta, rtol=0.0):
+def smooth_score_reference(sq, delta):
     """(support, excess) of one decomposition's branch spectra (m, n), branch by
-    branch: support counted with each Schmidt weight up to ``rtol`` of its
-    branch weight zeroed, excess on the raw spectra."""
+    branch, both with each Schmidt weight up to ``RANK_RTOL`` of its branch
+    weight zeroed (the rank rule)."""
     n = sq.shape[1]
-    kept_total, raw_total = np.zeros(n + 1), np.zeros(n + 1)
+    total = np.zeros(n + 1)
     for w in sq:
         srt = np.sort(w)[::-1]
-        kept = np.where(srt > rtol * srt.sum(), srt, 0.0)
+        kept = np.where(srt > RANK_RTOL * srt.sum(), srt, 0.0)
         for s in range(n):
-            kept_total[s] += kept[s:].sum()
-            raw_total[s] += srt[s:].sum()
-    s = next(s for s in range(n + 1) if kept_total[s] <= delta)
-    return s, (raw_total[s - 1] - delta if s else 0.0)
+            total[s] += kept[s:].sum()
+    s = next(s for s in range(n + 1) if total[s] <= delta)
+    return s, (total[s - 1] - delta if s else 0.0)
 
 
 def average_entropy(rows, dims):
@@ -741,7 +746,7 @@ def average_entropy(rows, dims):
 
 
 def smooth_score(rows, dims, delta):
-    """``2 support + excess`` of unnormalized rows (m, D) on raw SVD spectra."""
+    """``2 support + excess`` of unnormalized rows (m, D) from their SVD spectra."""
     sq = np.linalg.svd(rows.reshape(-1, *dims), compute_uv=False) ** 2
     support, excess = smooth_score_reference(sq, delta)
     return 2 * support + excess
@@ -807,13 +812,13 @@ def test_smooth_gradient_matches_finite_differences():
             supports.update(math.floor(v / 2) for v in vals)
     assert supports == {1, 2, 3}
 
-    # The search counts support on the raw spectra; smooth_value applies the
-    # rank rule.  A Schmidt weight of 1e-12 is rank noise to the latter only.
+    # The search and smooth_value share the rank rule: a Schmidt weight of
+    # 1e-12 is rank noise to both, so the scored support is the reported one
     vec = np.array([math.sqrt(1 - 1e-12), 0, 0, math.sqrt(1e-12)], dtype=complex)
     s = _EnsembleSearch(PureState((2, 2), vec).to_density_matrix(), None)
     w = s.start(1, 0)
     sq = np.linalg.svd((w[0] @ s.base).reshape(-1, 2, 2), compute_uv=False) ** 2
-    assert smooth_score_reference(sq, 0.0) == (2, pytest.approx(1e-12, rel=1e-3))
-    assert smooth_score_reference(sq, 0.0, RANK_RTOL) == (1, pytest.approx(1.0))
-    assert s.smooth_gradient(w, 0.0)[0][0] == pytest.approx(4.0 + 1e-12, abs=1e-14)
-    assert s.smooth_value(w @ s.base, 0.0) == [0.0]
+    assert smooth_score_reference(sq, 0.0) == (1, pytest.approx(1.0 - 1e-12, abs=1e-14))
+    score = s.smooth_gradient(w, 0.0)[0][0]
+    assert score == pytest.approx(3.0 - 1e-12, abs=1e-14)
+    assert math.floor(score / 2) == 2 ** s.smooth_value(w @ s.base, 0.0)[0] == 1
