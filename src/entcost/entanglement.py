@@ -184,6 +184,7 @@ class OneShotCostBounds:
 
 _SMOOTH_STEPS = 200  # gradient steps per smoothing budget in one_shot_cost_bounds
 _STATIONARY = 1e-16  # squared gradient norm at which a restart is stationary
+_ETA = 0.85  # weight of the history in _descend's nonmonotone reference (Zhang-Hager)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # Re tr(a^H b) per matrix
@@ -324,8 +325,13 @@ def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarra
     live restarts, so a restart's trajectory depends only on its own rows.
     Each of the ``steps`` batched evaluations tries every live restart's
     Barzilai-Borwein step (long and short alternate, at most 1e3) through a
-    polar retraction and halves it unless it passes the Armijo test
-    (decrease 1e-4 step |g|^2).  The polar factor of ``X = W - step g`` is
+    polar retraction and halves it unless it passes the nonmonotone Armijo
+    test of Zhang and Hager (SIAM J. Optim. 14, 1043 (2004)): a value 1e-4
+    step |g|^2 below the restart's reference C, which starts at its value
+    (weight Q = 1) and moves to ``C' = (eta Q C + v) / Q'``, ``Q' = eta Q +
+    1`` (eta = ``_ETA``) on each kept value v.  A kept value may rise, but
+    it lies below the C it was tested against, so C never rises and no
+    value exceeds the start.  The polar factor of ``X = W - step g`` is
     ``X (X^H X)^(-1/2)`` from one batched r x r ``eigh``; on the tangent
     ``X^H X = I + step^2 g^H g``, so no eigenvalue is below 1.  One
     Newton-Schulz step ``Q (3 I - Q^H Q) / 2`` then takes its isometry error
@@ -341,11 +347,12 @@ def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarra
     gradient norms and mask.
     """
     vals, grad = objective(w, *per_restart)
+    gg = _inner(grad, grad)  # squared gradient norms
+    ref, weight = vals.copy(), np.ones(len(w))  # Zhang-Hager references C, weights Q
     moved = vals <= 0.0
     step = np.ones(len(w))
     live = np.arange(len(w))
     for k in range(steps):
-        gg = _inner(grad, grad)  # squared gradient norms
         if stop(vals, gg, moved):
             break
         live = live[(gg[live] > _STATIONARY) & (step[live] >= 1e-10)]
@@ -356,7 +363,7 @@ def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarra
         trial = x @ ((v / np.sqrt(lam)[:, None, :]) @ _dag(v))
         trial = 1.5 * trial - 0.5 * trial @ (_dag(trial) @ trial)  # Newton-Schulz
         tv, tg = objective(trial, *(a[live] for a in per_restart))
-        won = tv <= vals[live] - 1e-4 * step[live] * gg[live]
+        won = tv <= ref[live] - 1e-4 * step[live] * gg[live]
         step[live[~won]] *= 0.5
         acc = live[won]
         s, y = trial[won] - w[acc], tg[won] - grad[acc]
@@ -365,8 +372,11 @@ def _descend(w: np.ndarray, steps: int, objective, stop, *per_restart: np.ndarra
         num, den = (ss, sy) if k % 2 else (sy, np.maximum(_inner(y, y), 1e-3 * sy))
         step[acc] = np.divide(num, den, out=np.zeros_like(ss), where=ss > 0)  # not 0/0
         w[acc], vals[acc], grad[acc] = trial[won], tv[won], tg[won]
+        gg[acc] = _inner(tg[won], tg[won])
+        weight[acc] = _ETA * weight[acc] + 1.0
+        ref[acc] += (tv[won] - ref[acc]) / weight[acc]  # (eta Q C + value) / Q'
         moved[acc] = True
-    return vals, w, _inner(grad, grad), moved
+    return vals, w, gg, moved
 
 
 def _ppt_ccnr_lambda(rho: DensityMatrix) -> float:
@@ -431,12 +441,12 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     step or sits at value 0, the floor of E_F.  A start of zero gradient,
     such as the spectral ensemble of a degenerate spectrum, may be a saddle,
     so it does not certify.  Every evaluated decomposition is feasible and
-    every kept step lowers the value, so the result never exceeds the start
-    nor undershoots the true infimum.  ``converged`` means the certificate
-    holds at the end, or the state has rank 1 (its decomposition is
-    unique), or at least two restarts end within ``tol`` of the best value.
-    Restart streams (seed, restart index) make it deterministic for a fixed
-    ``seed``, which must be nonnegative.
+    :func:`_descend`'s nonmonotone test keeps no value above the start, so
+    the result never exceeds the start nor undershoots the true infimum.
+    ``converged`` means the certificate holds at the end, or the state has
+    rank 1 (its decomposition is unique), or at least two restarts end
+    within ``tol`` of the best value.  Restart streams (seed, restart index)
+    make it deterministic for a fixed ``seed``, which must be nonnegative.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -480,15 +490,16 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     delta / t)`` (Chen, Albeverio and Fei, PRL 95, 210501 (2005); at delta
     = 0 the Schmidt-number bound of Terhal and Horodecki, PRA 61, 040301
     (2000)); no decomposition goes below it, so this clause keeps both
-    bounds.  It is also done when every one of its restarts is spent:
-    stationary, or its last accepted step lowered its score by less than
-    1e-4 of its excess (score less twice the support), a rate that needs
-    over 1e4 steps, 50 times the step cap, to reach the next support level.
-    That clause is a heuristic: ``upper`` stays certified by its witness but
-    may sit above what the full ``_SMOOTH_STEPS`` would reach.  Neither
-    budget stops alone, since each bound is taken over both budgets'
-    candidates.  The floor is internal and not reported.  ``seed`` must be
-    nonnegative.
+    bounds.  At eps 0 both budgets search one problem, so the best restart
+    of either counts for both.  A budget is also done when every one of its
+    restarts is spent: stationary, or the last step that lowered its score
+    lowered it by less than 1e-4 of its excess (score less twice the
+    support), a rate that needs over 1e4 steps, 50 times the step cap, to
+    reach the next support level.  That clause is a heuristic: ``upper``
+    stays certified by its witness but may sit above what the full
+    ``_SMOOTH_STEPS`` would reach.  Neither budget stops alone, since each
+    bound is taken over both budgets' candidates.  The floor is internal
+    and not reported.  ``seed`` must be nonnegative.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
@@ -500,12 +511,13 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])
     caps = np.array([2 * f + 1 for f in _support_floors(rho, (delta_up, delta_low))])
     prev, drop = np.full((2, len(w)), np.inf)  # values before a step, last positive drops
+    pools = 1 if delta_up == delta_low else 2  # at eps 0 both halves search one problem
 
     def stop(v, gg, moved):
         np.subtract(prev, v, out=drop, where=v < prev)
         prev[:] = v
         spent = (gg <= _STATIONARY) | (drop < 1e-4 * (v % 2))  # v % 2 is the excess
-        return bool(((v.reshape(2, -1).min(axis=1) <= caps)
+        return bool(((v.reshape(pools, -1).min(axis=1) <= caps)
                      | spent.reshape(2, -1).all(axis=1)).all())
 
     w = _descend(w, _SMOOTH_STEPS, search.smooth_gradient, stop,

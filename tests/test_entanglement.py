@@ -55,6 +55,19 @@ def bell_dm():
     return DensityMatrix((2, 2), np.outer(BELL_PLUS, BELL_PLUS))
 
 
+def channel_output(key) -> DensityMatrix:
+    """3x3 output of a 2-Kraus channel (a Haar Stinespring isometry) at a
+    pure input, both drawn from ``default_rng(key)``."""
+    rng = np.random.default_rng(key)
+    stine = haar_isometry(6, 3, rng)
+    kraus = [np.kron(stine[3 * j:3 * j + 3], np.eye(3)) for j in range(2)]
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    psi /= np.linalg.norm(psi)
+    out = sum(k @ np.outer(psi, psi.conj()) @ k.conj().T for k in kraus)
+    out = 0.5 * (out + out.conj().T)
+    return DensityMatrix((3, 3), out / out.trace().real)
+
+
 def never(vals, gg, moved):
     """A ``_descend`` stop predicate that never ends the batch."""
     return False
@@ -197,11 +210,12 @@ def test_eof_numeric_pure_state(monkeypatch):
     assert res.converged  # every restart ends at the single decomposition
     # a rank-1 state has a single decomposition, so a lone restart is stationary
     assert eof_numeric(psi.to_density_matrix(), restarts=1, seed=0).converged
-    # a lone restart that ends short of stationary has nothing to agree with
+    # a lone restart that ends short of stationary has nothing to agree with:
+    # on this full-rank 3x3 state it is still at 6.5e-8 after the step cap
     ends = []
     descend = entanglement._descend
     monkeypatch.setattr(entanglement, "_descend", lambda *a: ends.append(descend(*a)) or ends[-1])
-    rho = random_density_matrix((2, 2), 4, np.random.default_rng(2027))
+    rho = random_density_matrix((3, 3), 9, np.random.default_rng(3000))
     assert not eof_numeric(rho, restarts=1, seed=1).converged
     assert ends[-1][2][0] > entanglement._STATIONARY
 
@@ -233,20 +247,35 @@ def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
     # restart bit-identical, where the Barzilai-Borwein step would be 0/0
     from entcost.entanglement import _descend, _EnsembleSearch
 
-    rng = np.random.default_rng((5, 4012))
-    stine = haar_isometry(6, 3, rng)
-    kraus = [np.kron(stine[3 * j:3 * j + 3], np.eye(3)) for j in range(2)]
-    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    psi /= np.linalg.norm(psi)
-    out = sum(k @ np.outer(psi, psi.conj()) @ k.conj().T for k in kraus)
-    out = 0.5 * (out + out.conj().T)
-    search = _EnsembleSearch(DensityMatrix((3, 3), out / out.trace().real), None)
+    search = _EnsembleSearch(channel_output((5, 4012)), None)
     vals, w = _descend(search.start(8, 12), 30, search.eof_gradient, never)[:2]
     top = np.argsort(vals, kind="stable")[:3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         polished = _descend(w[top], 1000, search.eof_gradient, never)[0]
     assert np.all(polished <= vals[top])
+
+
+def test_eof_numeric_certifies_a_restart_at_its_rounding_floor(monkeypatch):
+    # under the monotone Armijo test the best restart of these two outputs
+    # stalled with squared gradient norm 1.5e-16, just above the certificate,
+    # while its value sat at its rounding floor: 101 and 142 evaluations
+    from entcost.entanglement import _EnsembleSearch
+
+    calls = []
+    gradient = _EnsembleSearch.eof_gradient
+
+    def counted(self, w):
+        calls.append(len(w))
+        return gradient(self, w)
+
+    monkeypatch.setattr(_EnsembleSearch, "eof_gradient", counted)
+    for i, value in ((3, 0.38530025270864365), (4, 0.46215654907861103)):
+        calls.clear()
+        res = eof_numeric(channel_output((31, 4000 + i)), restarts=8, seed=i, sweeps=3)
+        assert res.converged, i
+        assert len(calls) <= 30, (i, len(calls))
+        assert abs(res.value - value) <= 1e-12, (i, res.value - value)
 
 
 def test_descend_keeps_every_restart_an_isometry():
@@ -607,6 +636,28 @@ def test_one_shot_stops_once_every_restart_is_spent(monkeypatch):
     b = one_shot_cost_bounds(rho, eps, seed=0)
     assert [b.upper, b.lower] == full
     assert len(calls) < 201, len(calls)
+
+
+def test_one_shot_at_eps_zero_stops_once_either_budget_is_at_the_floor(monkeypatch):
+    # at eps 0 both budgets search one problem, so one budget's restart at
+    # the floor (support 2) ends the batch; waiting for each budget's own
+    # restarts ran all five searches to the 200-step cap (201 evaluations)
+    from entcost.entanglement import _EnsembleSearch
+
+    calls = []
+    gradient = _EnsembleSearch.smooth_gradient
+
+    def counted(self, w, delta):
+        calls.append(len(w))
+        return gradient(self, w, delta)
+
+    monkeypatch.setattr(_EnsembleSearch, "smooth_gradient", counted)
+    for i in (5, 7, 15, 17, 34):
+        calls.clear()
+        rho = random_density_matrix((4, 3), 5, np.random.default_rng((64, i)))
+        b = one_shot_cost_bounds(rho, 0.0, restarts=2, seed=i)
+        assert (b.lower, b.upper) == (1.0, 1.0), i
+        assert len(calls) < 201, (i, len(calls))
 
 
 def test_array_holding_dataclasses_compare_by_identity():
