@@ -12,7 +12,6 @@ from .linalg import (
     trace_norm,
 )
 from .channels import (
-    ChoiState,
     KrausChannel,
     SchemaError,
     amplitude_damping,

@@ -62,44 +62,23 @@ def _check_choi_marginal(mat: np.ndarray, dim_out: int, dim_in: int) -> None:
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class KrausChannel:
     """CPTP map given by a read-only Kraus stack ``kraus`` of shape
-    (k, dim_out, dim_in), k >= 1; any sequence of k operators is copied into it."""
+    (k, dim_out, dim_in), k >= 1; any sequence of k operators is copied into
+    it, and ``dim_in`` and ``dim_out`` read its shape."""
 
-    dim_in: int
-    dim_out: int
     kraus: np.ndarray
 
     def __post_init__(self):
-        din, dout = int(self.dim_in), int(self.dim_out)
-        if din < 1 or dout < 1:
-            raise ValueError("channel dimensions must be positive")
-        if din * dout > MAX_CHANNEL_DIM:
-            raise ValueError(f"dim_in * dim_out must not exceed {MAX_CHANNEL_DIM}")
         ks = np.array(self.kraus, dtype=complex)
-        if ks.shape[1:] != (dout, din) or not len(ks):
-            raise ValueError(f"Kraus stack shape {ks.shape}, expected (k >= 1, {dout}, {din})")
+        if ks.ndim != 3 or not ks.size:
+            raise ValueError(f"Kraus stack shape {ks.shape}, expected (k >= 1, dim_out, dim_in)")
+        if ks.shape[1] * ks.shape[2] > MAX_CHANNEL_DIM:
+            raise ValueError(f"dim_in * dim_out must not exceed {MAX_CHANNEL_DIM}")
         _check_kraus(ks)
         ks.setflags(write=False)
-        object.__setattr__(self, "dim_in", din)
-        object.__setattr__(self, "dim_out", dout)
         object.__setattr__(self, "kraus", ks)
 
-
-@dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
-class ChoiState:
-    """Choi state of a channel: PSD, trace 1, input marginal maximally mixed."""
-
-    dim_in: int
-    dim_out: int
-    state: DensityMatrix
-
-    def __post_init__(self):
-        din, dout = int(self.dim_in), int(self.dim_out)
-        if self.state.dims != (dout, din):
-            raise ValueError(
-                f"Choi state dims {self.state.dims}, expected {(dout, din)}")
-        _check_choi_marginal(self.state.mat, dout, din)
-        object.__setattr__(self, "dim_in", din)
-        object.__setattr__(self, "dim_out", dout)
+    dim_in = property(lambda self: self.kraus.shape[2])
+    dim_out = property(lambda self: self.kraus.shape[1])
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -130,15 +109,17 @@ def _choi_gram(ks: np.ndarray) -> np.ndarray:
     return np.einsum("...ka,...kb->...ab", vecs, vecs.conj())
 
 
-def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state of the channel (see :func:`_choi_gram`)."""
-    return ChoiState(ch.dim_in, ch.dim_out, DensityMatrix(
-        (ch.dim_out, ch.dim_in), _choi_gram(ch.kraus)))
+def choi(ch: KrausChannel) -> DensityMatrix:
+    """Choi state of the channel on ``(dim_out, dim_in)`` (see
+    :func:`_choi_gram`), checked to have input marginal I/dim_in."""
+    rho = DensityMatrix((ch.dim_out, ch.dim_in), _choi_gram(ch.kraus))
+    _check_choi_marginal(rho.mat, ch.dim_out, ch.dim_in)
+    return rho
 
 
 def identity(d: int = 2) -> KrausChannel:
     """Identity channel on a d-dimensional system."""
-    return KrausChannel(d, d, np.eye(d, dtype=complex)[None])
+    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 # Each qubit family's Kraus operators, defined once for parameters x of shape
@@ -169,7 +150,7 @@ def _family_kraus(kind: str, x, error=ValueError) -> np.ndarray:
 
 
 def _family_channel(kind: str, x, error=ValueError) -> KrausChannel:
-    return KrausChannel(2, 2, _family_kraus(kind, x, error))
+    return KrausChannel(_family_kraus(kind, x, error))
 
 
 def family_choi(kind: str, x) -> np.ndarray:
@@ -206,7 +187,7 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int,
                    rng: np.random.Generator) -> KrausChannel:
     """Haar-random channel from a random Stinespring isometry."""
     v = haar_isometry(dim_out * kraus_count, dim_in, rng)
-    return KrausChannel(dim_in, dim_out, v.reshape(kraus_count, dim_out, dim_in))
+    return KrausChannel(v.reshape(kraus_count, dim_out, dim_in))
 
 
 # Parametrized qubit families:
@@ -286,7 +267,7 @@ def channel_from_json(obj) -> KrausChannel:
         # each [re, im] pair is one complex128 in memory, signed zeros included
         pairs = _numbers(ops, (len(ops), dout * din, 2),
                          "kraus 'ops' (row-major [re, im] pairs)")
-        return KrausChannel(din, dout, pairs.view(complex).reshape(-1, dout, din))
+        return KrausChannel(pairs.view(complex).reshape(-1, dout, din))
     raise SchemaError(f"unknown channel type {kind!r}")
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -116,14 +117,13 @@ def _grid(points: int, stop: float) -> np.ndarray:
 # -- commands ----------------------------------------------------------------
 
 def _cmd_choi(args) -> str:
-    ch = parse_channel(args.channel)
-    c = choi(ch)
+    rho = choi(parse_channel(args.channel))
     return _emit_json({
-        "dim_in": c.dim_in,
-        "dim_out": c.dim_out,
-        "dims": list(c.state.dims),
-        "re": [[z.real for z in row] for row in c.state.mat],
-        "im": [[z.imag for z in row] for row in c.state.mat],
+        "dim_in": rho.dims[1],
+        "dim_out": rho.dims[0],
+        "dims": list(rho.dims),
+        "re": [[z.real for z in row] for row in rho.mat],
+        "im": [[z.imag for z in row] for row in rho.mat],
     })
 
 
@@ -153,13 +153,14 @@ def _cmd_ec1(args) -> str:
     return _emit_json({"ec1": est.value, "certified": est.certified})
 
 
-def _emit_curve(cols: dict[str, np.ndarray], fmt: str, **head) -> str:
+def _emit_curve(cols: dict[str, np.ndarray], fmt: str, **head) -> Iterator[str]:
     """Curve columns, the parameter first, as CSV (a header of the column
     names, then one line per row) or JSON ``{**head, "rows": [...]}``.
 
-    The columns are formatted 4096 rows at a time, straight into pieces of
-    the output text, so no per-row object outlives its chunk.  A NaN cell is
-    refused, since JSON cannot carry it; infinities print as "inf"."""
+    Returns the pieces of the output text, one per ``cost._CHUNK`` rows,
+    each formatted only when it is asked for, so :func:`run` writes a piece
+    before the next exists.  A NaN cell is refused at once, before any piece,
+    since JSON cannot carry it; infinities print as "inf"."""
     names = list(cols)
     for name, col in cols.items():
         nan = np.isnan(col)
@@ -167,24 +168,27 @@ def _emit_curve(cols: dict[str, np.ndarray], fmt: str, **head) -> str:
             raise ValueError(f"curve value {name} is NaN at {names[0]} "
                              f"{cols[names[0]][nan.argmax()]}")
 
-    def chunks():
-        for i in range(0, len(cols[names[0]]), 4096):
-            yield zip(*(map(_fmt_float, col[i:i + 4096].tolist()) for col in cols.values()))
+    def pieces():
+        csv, n = fmt == "csv", cost._CHUNK
+        yield ",".join(names) if csv else _emit_json({**head, "rows": []})[:-2]
+        for i in range(0, len(cols[names[0]]), n):
+            rows = zip(*(map(_fmt_float, col[i:i + n].tolist()) for col in cols.values()))
+            if csv:
+                yield "".join("\n" + ",".join(map(str, r)) for r in rows)
+            else:
+                yield (", " if i else "") + json.dumps([dict(zip(names, r)) for r in rows])[1:-1]
+        yield "" if csv else "]}"
 
-    if fmt == "csv":
-        return "\n".join([",".join(names),
-                          *("\n".join(",".join(map(str, r)) for r in rows) for rows in chunks())])
-    body = ", ".join(json.dumps([dict(zip(names, r)) for r in rows])[1:-1] for rows in chunks())
-    return f"{_emit_json({**head, 'rows': []})[:-3]}[{body}]}}"
+    return pieces()
 
 
-def _cmd_security_region(args) -> str:
+def _cmd_security_region(args) -> Iterator[str]:
     cols = cost.security_region(args.family, _grid(args.points, 1.0))
     return _emit_curve(cols, args.format, family=args.family,
                        threshold_proven=args.family in TELEPORTATION_COVERED)
 
 
-def _cmd_dephasing_curves(args) -> str:
+def _cmd_dephasing_curves(args) -> Iterator[str]:
     return _emit_curve(cost.dephasing_curves(_grid(args.points, 0.5)), args.format)
 
 
@@ -394,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code.  A command's text,
+    or each piece of a curve as it is formatted, goes to stdout."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -413,7 +418,8 @@ def run(argv: list[str]) -> int:
         msg = f"{', '.join(huge)}: integer too large for a float" if huge else str(exc)
         code = 2
     else:
-        print(out)
+        sys.stdout.writelines([out] if isinstance(out, str) else out)
+        print()
         return 0
     print(f"error: {msg}", file=sys.stderr)
     return code

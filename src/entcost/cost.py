@@ -53,7 +53,7 @@ def ec1_qubit(ch: KrausChannel) -> float:
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise ValueError("ec1_qubit supports 2 -> 2 channels only")
-    return eof_2q(choi(ch).state)
+    return eof_2q(choi(ch))
 
 
 class Ec1Estimate(NamedTuple):

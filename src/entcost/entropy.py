@@ -31,19 +31,15 @@ MAX_TABLE_CELLS = 1 << 20   # cells of a dense classical table, read or built
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class ClassicalJoint:
-    """Nonnegative joint weight table P(x, y); may be subnormalized."""
+    """Nonnegative joint weight table P(x, y) of shape (nx, ny); may be
+    subnormalized.  ``nx`` and ``ny`` read the table's shape."""
 
-    nx: int
-    ny: int
     weights: np.ndarray
 
     def __post_init__(self):
-        nx, ny = int(self.nx), int(self.ny)
-        if nx < 1 or ny < 1:
-            raise ValueError("alphabet sizes must be positive")
         w = np.array(self.weights, dtype=float)
-        if w.shape != (nx, ny):
-            raise ValueError(f"weight table shape {w.shape}, expected {(nx, ny)}")
+        if w.ndim != 2 or not w.size:
+            raise ValueError(f"weight table shape {w.shape}, expected (nx >= 1, ny >= 1)")
         if not np.all(np.isfinite(w)):
             raise ValidationError("weight table has non-finite entries")
         if w.min() < 0.0:
@@ -51,9 +47,10 @@ class ClassicalJoint:
         if w.sum() > 1.0 + 1e-12:
             raise ValidationError(f"total weight {w.sum()} exceeds 1")
         w.setflags(write=False)
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "ny", ny)
         object.__setattr__(self, "weights", w)
+
+    nx = property(lambda self: self.weights.shape[0])
+    ny = property(lambda self: self.weights.shape[1])
 
     def total(self) -> float:
         return float(self.weights.sum())
@@ -156,7 +153,7 @@ def product_table(p: ClassicalJoint, n: int) -> ClassicalJoint:
     w = p.weights
     for _ in range(n - 1):
         w = np.kron(w, p.weights)
-    return ClassicalJoint(p.nx ** n, p.ny ** n, w)
+    return ClassicalJoint(w)
 
 
 class AepCheck(NamedTuple):
@@ -210,4 +207,4 @@ def classical_joint_from_csv(text: str) -> ClassicalJoint:
     weights = np.zeros((nx, ny))
     for x, y, w in atoms:
         weights[x, y] += w
-    return ClassicalJoint(nx, ny, weights)
+    return ClassicalJoint(weights)

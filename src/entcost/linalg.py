@@ -68,6 +68,15 @@ def _check_density(mat: np.ndarray, subnormalized: bool = False) -> None:
         raise ValidationError(f"normalized state has trace {float(worst)}")
 
 
+def _dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Subsystem dimensions: Python or numpy integers >= 1, never a float or a bool."""
+    dims = tuple(dims)
+    if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                           and d >= 1 for d in dims):
+        raise ValidationError(f"invalid subsystem dimensions {dims}")
+    return tuple(int(d) for d in dims)
+
+
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class DensityMatrix:
     """Hermitian PSD operator on a product of finite subsystems.
@@ -88,9 +97,7 @@ class DensityMatrix:
     subnormalized: bool = field(default=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValidationError(f"invalid subsystem dimensions {dims}")
+        dims = _dims(self.dims)
         mat = _as_complex(self.mat)
         dim = int(np.prod(dims))
         if mat.shape != (dim, dim):
@@ -116,9 +123,7 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValidationError(f"invalid subsystem dimensions {dims}")
+        dims = _dims(self.dims)
         vec = _as_complex(self.vec).reshape(-1)
         if vec.shape != (int(np.prod(dims)),):
             raise ValidationError(
@@ -153,7 +158,7 @@ def _keep_indices(keep, n: int) -> tuple[int, ...]:
 def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     """Partial trace on a raw matrix or a ``(..., n, n)`` stack; kept
     subsystems stay in original order."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     n = len(dims)
     keep = _keep_indices(keep, n)
     t = np.asarray(mat, dtype=complex)
@@ -181,7 +186,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], sys: int) -> np.ndarray:
     """Transpose one tensor factor of a square operator."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     n = len(dims)
     if sys < 0 or sys >= n:
         raise ValueError(f"subsystem {sys} out of range")
@@ -269,7 +274,7 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure_state(dims: Iterable[int], rng: np.random.Generator) -> PureState:
     """Haar-random pure state on the given subsystem dimensions."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     n = int(np.prod(dims))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState(dims, v / np.linalg.norm(v))
@@ -278,7 +283,7 @@ def random_pure_state(dims: Iterable[int], rng: np.random.Generator) -> PureStat
 def random_density_matrix(dims: Iterable[int], rank: int,
                           rng: np.random.Generator) -> DensityMatrix:
     """Random mixed state of the requested rank (Wishart construction)."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     n = int(np.prod(dims))
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}]")

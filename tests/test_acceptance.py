@@ -133,7 +133,7 @@ def test_criterion_04_concurrence_multiplicativity():
         psi = ec.random_pure_state((2, 2), rng)
         out = ec.apply(ch, psi.to_density_matrix())
         lhs = ec.concurrence_2q(out)
-        rhs = ec.concurrence_2q(ec.choi(ch).state) \
+        rhs = ec.concurrence_2q(ec.choi(ch)) \
             * ec.concurrence_2q(psi.to_density_matrix())
         assert abs(lhs - rhs) <= 1e-8, (i, lhs, rhs)
         worst = max(worst, abs(lhs - rhs))
@@ -143,7 +143,7 @@ def test_criterion_04_concurrence_multiplicativity():
 
 def test_criterion_05_entanglement_breaking_thresholds():
     def choi_c(family, x):
-        return ec.concurrence_2q(ec.choi(family(x)).state)
+        return ec.concurrence_2q(ec.choi(family(x)))
 
     # depolarizing: concurrence vanishes exactly from r = 2/3 on
     lo, hi = 0.0, 1.0
@@ -158,7 +158,7 @@ def test_criterion_05_entanglement_breaking_thresholds():
         c = choi_c(ec.depolarizing, r)
         assert (c <= 1e-9) == (r >= 2.0 / 3.0 - 1e-9), r
         assert (ec.ec1_qubit(ec.depolarizing(r)) == 0.0) == (c <= 1e-9)
-        oracle = concurrence_oracle(ec.choi(ec.depolarizing(r)).state)
+        oracle = concurrence_oracle(ec.choi(ec.depolarizing(r)))
         assert abs(c - oracle) <= 1e-6
     # dephasing: breaking only at p = 1/2
     for p in GRID_101:
@@ -235,7 +235,7 @@ def test_criterion_08_smooth_max_entropy_exactness():
         total = w.sum()
         if total > 0:
             w /= total
-        table = ec.ClassicalJoint(nx, ny, w)
+        table = ec.ClassicalJoint(w)
         want = brute_smooth_h0(w, eps_list)
         for eps, expected in zip(eps_list, want):
             got = ec.classical_smooth_h0_cond(table, eps)
@@ -254,7 +254,7 @@ def test_criterion_09_classical_aep():
         ny = int(rng.integers(1, 3))
         w = rng.random((nx, ny))
         w /= w.sum()
-        table = ec.ClassicalJoint(nx, ny, w)
+        table = ec.ClassicalJoint(w)
         for n in range(1, 7):
             for eps in (0.3, 0.1, 0.01):
                 res = ec.aep_check(table, eps, n)

@@ -1,5 +1,7 @@
 """Channel representation tests: constructors, Choi round trips, EB detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ def test_kraus_contraction_matches_lifted_reference():
             ch = random_channel(din, dout, count, rng)
             phi = np.eye(din).reshape(-1) / np.sqrt(din)
             want = _lifted_reference(ch, np.outer(phi, phi), din)
-            np.testing.assert_allclose(choi(ch).state.mat, want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(choi(ch).mat, want, rtol=0, atol=1e-13)
             for anc in (1, 2, 3):
                 dims = (din,) if anc == 1 else (din, anc)
                 rho = random_density_matrix(dims, din * anc, rng)
@@ -109,7 +111,7 @@ def test_apply_dimension_mismatch():
 
 def test_choi_identity_is_max_entangled():
     c = choi(identity(2))
-    np.testing.assert_allclose(c.state.mat, np.outer(BELL_PLUS, BELL_PLUS),
+    np.testing.assert_allclose(c.mat, np.outer(BELL_PLUS, BELL_PLUS),
                                atol=1e-12)
 
 
@@ -117,13 +119,13 @@ def test_choi_dephasing_is_bell_mixture():
     p = 0.3
     expected = (1 - p) * np.outer(BELL_PLUS, BELL_PLUS) \
         + p * np.outer(BELL_MINUS, BELL_MINUS)
-    np.testing.assert_allclose(choi(dephasing(p)).state.mat, expected, atol=1e-12)
+    np.testing.assert_allclose(choi(dephasing(p)).mat, expected, atol=1e-12)
 
 
 def test_choi_depolarizing_is_isotropic():
     r = 0.4
     expected = (1 - r) * np.outer(BELL_PLUS, BELL_PLUS) + r * np.eye(4) / 4
-    np.testing.assert_allclose(choi(depolarizing(r)).state.mat, expected, atol=1e-12)
+    np.testing.assert_allclose(choi(depolarizing(r)).mat, expected, atol=1e-12)
 
 
 def test_choi_input_marginal_is_maximally_mixed():
@@ -131,41 +133,41 @@ def test_choi_input_marginal_is_maximally_mixed():
     chans = [identity(2), dephasing(0.2), depolarizing(0.7), amplitude_damping(0.3),
              random_channel(3, 2, 3, rng)]
     for ch in chans:
-        marg = partial_trace(choi(ch).state, keep=1)
+        marg = partial_trace(choi(ch), keep=1)
         np.testing.assert_allclose(marg.mat, np.eye(ch.dim_in) / ch.dim_in,
                                    atol=1e-9)
 
 
 def test_pauli_family_chois_are_bell_diagonal():
     for ch in (dephasing(0.3), depolarizing(0.6)):
-        mat = choi(ch).state.mat
+        mat = choi(ch).mat
         in_bell = BELL_BASIS.conj().T @ mat @ BELL_BASIS
         off = in_bell - np.diag(np.diag(in_bell))
         assert np.max(np.abs(off)) < 1e-9
 
 
 def test_dephasing_limits():
-    assert trace_distance(choi(dephasing(0.0)).state.mat,
-                          choi(identity(2)).state.mat) < 1e-12
+    assert trace_distance(choi(dephasing(0.0)).mat,
+                          choi(identity(2)).mat) < 1e-12
     c1 = choi(dephasing(1.0))
-    np.testing.assert_allclose(c1.state.mat, np.outer(BELL_MINUS, BELL_MINUS),
+    np.testing.assert_allclose(c1.mat, np.outer(BELL_MINUS, BELL_MINUS),
                                atol=1e-12)
 
 
 def test_depolarizing_limits():
-    assert trace_distance(choi(depolarizing(0.0)).state.mat,
-                          choi(identity(2)).state.mat) < 1e-12
-    np.testing.assert_allclose(choi(depolarizing(1.0)).state.mat, np.eye(4) / 4,
+    assert trace_distance(choi(depolarizing(0.0)).mat,
+                          choi(identity(2)).mat) < 1e-12
+    np.testing.assert_allclose(choi(depolarizing(1.0)).mat, np.eye(4) / 4,
                                atol=1e-12)
 
 
 def test_amplitude_damping_limits():
-    assert trace_distance(choi(amplitude_damping(1.0)).state.mat,
-                          choi(identity(2)).state.mat) < 1e-12
+    assert trace_distance(choi(amplitude_damping(1.0)).mat,
+                          choi(identity(2)).mat) < 1e-12
     # full damping: Choi is an even mixture of |00> and |01>, manifestly separable
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[1, 1] = 0.5
-    np.testing.assert_allclose(choi(amplitude_damping(0.0)).state.mat, expected,
+    np.testing.assert_allclose(choi(amplitude_damping(0.0)).mat, expected,
                                atol=1e-12)
 
 
@@ -184,7 +186,7 @@ def test_family_choi_stack_matches_single_channels():
         mats = family_choi(family, grid)
         assert mats.shape == (5, 4, 4)
         for x, mat in zip(grid, mats):
-            np.testing.assert_array_equal(mat, choi(ctor(float(x))).state.mat)
+            np.testing.assert_array_equal(mat, choi(ctor(float(x))).mat)
 
 
 def test_family_choi_checks_every_point(monkeypatch):
@@ -200,7 +202,7 @@ def test_family_choi_checks_every_point(monkeypatch):
         with pytest.raises(ValidationError, match="completeness"):
             family_choi("dephasing", np.array([0.1, 0.2, 0.3]))
     # one bad matrix in the Choi stack, for each state check and the marginal
-    good = choi(dephasing(0.1)).state.mat
+    good = choi(dephasing(0.1)).mat
     for bad, what in ((np.triu(np.full((4, 4), 0.25)), "Hermitian"),
                       (np.diag([0.6, 0.6, -0.2, 0.0]), "eigenvalue"),
                       (np.eye(4) * 0.3, "trace"),
@@ -221,12 +223,12 @@ def test_kraus_check_on_stacks():
 
 def test_completeness_enforced():
     with pytest.raises(ValidationError):
-        KrausChannel(2, 2, (np.eye(2) * 0.5,))
+        KrausChannel((np.eye(2) * 0.5,))
 
 
 def test_kraus_stack_is_one_read_only_copy():
     ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    ch = KrausChannel(2, 2, ops)
+    ch = KrausChannel(ops)
     assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == complex
     assert not ch.kraus.flags.writeable
     ops[0][0, 0] = 5.0
@@ -237,24 +239,44 @@ def test_kraus_stack_is_one_read_only_copy():
 
 
 def test_kraus_stack_shape_errors():
-    for bad in ([np.eye(3)],                    # operator of the wrong shape
-                [np.eye(2)[:, :1], np.eye(2)[:, 1:]],
-                np.eye(2),                      # one operator, not a stack of them
+    for bad in ([np.eye(2)[:, :1], np.eye(2)[:, 1:]],   # a 1 -> 2 stack, incomplete
                 [np.eye(2), np.eye(3)]):        # ragged
         with pytest.raises(ValueError):
-            KrausChannel(2, 2, bad)
-    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(k >= 1, 3, 2\)"):
-        KrausChannel(2, 3, np.eye(3)[:2])
-    for empty in ((), [], np.zeros((0, 2, 2))):
+            KrausChannel(bad)
+    # one operator, not a stack of them
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(k >= 1, dim_out, dim_in\)"):
+        KrausChannel(np.eye(3)[:2])
+    for empty in ((), [], np.zeros((0, 2, 2)), np.zeros((1, 0, 2)), np.zeros((1, 2, 0))):
         with pytest.raises(ValueError, match="k >= 1"):
-            KrausChannel(2, 2, empty)
+            KrausChannel(empty)
+    with pytest.raises(ValueError, match="must not exceed 64"):
+        KrausChannel(np.eye(9)[None])
+
+
+def test_kraus_channel_sizes_are_the_stack_shape():
+    assert [f.name for f in dataclasses.fields(KrausChannel)] == ["kraus"]
+    ch = KrausChannel([np.eye(3)])
+    assert (ch.dim_in, ch.dim_out) == (3, 3)
+    ch = random_channel(3, 2, 2, np.random.default_rng(62))
+    assert (ch.dim_in, ch.dim_out) == (3, 2)
+    with pytest.raises(AttributeError):
+        ch.dim_in = 4
+
+
+def test_choi_is_a_checked_density_matrix(monkeypatch):
+    rho = choi(random_channel(3, 2, 2, np.random.default_rng(63)))
+    assert type(rho) is DensityMatrix and rho.dims == (2, 3)
+    # a trace-1 PSD gram whose input marginal is not I/2
+    monkeypatch.setattr(channels, "_choi_gram", lambda ks: np.diag([0.7, 0.0, 0.3, 0.0]))
+    with pytest.raises(ValidationError, match="marginal"):
+        choi(dephasing(0.1))
 
 
 def test_entanglement_breaking_examples():
     # A qubit channel breaks entanglement iff its Choi state is separable,
     # i.e. iff the Choi concurrence vanishes.
     def breaks(ch):
-        return concurrence_2q(choi(ch).state) == 0.0
+        return concurrence_2q(choi(ch)) == 0.0
 
     assert breaks(depolarizing(0.7)) is True
     assert breaks(dephasing(0.3)) is False
@@ -266,7 +288,7 @@ def test_entanglement_breaking_examples():
 def test_channel_json_constructors():
     assert channel_from_json({"type": "identity", "d": 2}).dim_in == 2
     ch = channel_from_json({"type": "dephasing", "p": 0.3})
-    assert trace_distance(choi(ch).state.mat, choi(dephasing(0.3)).state.mat) < 1e-12
+    assert trace_distance(choi(ch).mat, choi(dephasing(0.3)).mat) < 1e-12
     ch = channel_from_json({"type": "amplitude_damping", "r": 0.5})
     np.testing.assert_allclose(ch.kraus[0], np.diag([1.0, np.sqrt(0.5)]), atol=1e-12)
     np.testing.assert_allclose(ch.kraus[1], [[0, np.sqrt(0.5)], [0, 0]], atol=1e-12)
@@ -277,7 +299,7 @@ def test_channel_json_kraus_form():
         "type": "kraus", "dim_in": 2, "dim_out": 2,
         "ops": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
     })
-    assert trace_distance(choi(ch).state.mat, choi(identity(2)).state.mat) < 1e-12
+    assert trace_distance(choi(ch).mat, choi(identity(2)).mat) < 1e-12
     # each [re, im] pair keeps the sign of its zeros
     ch = channel_from_json({
         "type": "kraus", "dim_in": 2, "dim_out": 2,

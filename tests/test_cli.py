@@ -112,8 +112,8 @@ def test_csv_cells_print_the_json_values():
     cols = {"x": np.array([1.5e12, 2.0, 123456789012.5]),
             "a": np.array([-0.0, 1e-7, 1.5e15]),
             "b": np.array([0.1, math.inf, 1 / 3])}
-    csv = _emit_curve(cols, "csv").splitlines()
-    doc = json.loads(_emit_curve(cols, "json"))
+    csv = "".join(_emit_curve(cols, "csv")).splitlines()
+    doc = json.loads("".join(_emit_curve(cols, "json")))
     assert csv[0] == "x,a,b"
     assert csv[1:] == [",".join(str(v) for v in row.values()) for row in doc["rows"]]
     assert csv[1] == "1500000000000,0,0.1"
@@ -130,15 +130,27 @@ def test_dephasing_curves_full_grid(capsys):
 
 
 def test_emit_curve_rejects_nan_prints_inf():
-    # JSON cannot carry NaN, so the output boundary refuses a NaN cell
+    # JSON cannot carry NaN, so the output boundary refuses a NaN cell, at
+    # the call, before any piece of the output exists
     for fmt in ("json", "csv"):
         with pytest.raises(ValueError, match="curve value b is NaN at x 2.0"):
             _emit_curve({"x": np.array([1.0, 2.0]), "b": np.array([0.5, math.nan])}, fmt)
     # infinities are the unbounded marker
     cols = {"x": np.array([1.0, 2.0]), "b": np.array([math.inf, 0.5])}
-    assert _emit_curve(cols, "csv") == "x,b\n1,inf\n2,0.5"
-    assert json.loads(_emit_curve(cols, "json"))["rows"] == [{"x": 1, "b": "inf"},
-                                                             {"x": 2, "b": 0.5}]
+    assert list(_emit_curve(cols, "csv")) == ["x,b", "\n1,inf\n2,0.5", ""]
+    pieces = list(_emit_curve(cols, "json"))
+    assert len(pieces) == 3
+    assert json.loads("".join(pieces))["rows"] == [{"x": 1, "b": "inf"}, {"x": 2, "b": 0.5}]
+
+
+def test_emit_curve_pieces_hold_one_chunk_each():
+    # the header, one piece per _CHUNK rows, and the closing brackets (none in CSV)
+    n = 2 * _CHUNK + 1
+    cols = {"x": np.arange(n, dtype=float), "y": np.full(n, 0.5)}
+    for fmt in ("csv", "json"):
+        pieces = list(_emit_curve(cols, fmt, family="f"))
+        assert len(pieces) == 5
+        assert max(p.count("0.5") for p in pieces) == _CHUNK
 
 
 def test_curve_chunk_seams(capsys):

@@ -70,7 +70,7 @@ def test_ec1_general_never_below_choi_eof():
     for _ in range(10):
         ch = random_channel(2, 2, int(rng.integers(1, 5)), rng)
         est = ec1_general(ch, restarts=2, seed=0)
-        assert est.value >= eof_2q(choi(ch).state) - 1e-6
+        assert est.value >= eof_2q(choi(ch)) - 1e-6
 
 
 def test_ec1_general_qutrit_channel():
@@ -78,7 +78,7 @@ def test_ec1_general_qutrit_channel():
     ch = random_channel(3, 3, 2, rng)
     est = ec1_general(ch, restarts=3, seed=0)
     assert not est.certified
-    baseline = eof_numeric(choi(ch).state, restarts=8, seed=0).value
+    baseline = eof_numeric(choi(ch), restarts=8, seed=0).value
     assert est.value >= baseline - 1e-6
 
 
@@ -89,7 +89,7 @@ def test_ec1_general_random_inputs_beat_max_entangled():
     est = ec1_general(ch)
     assert not est.certified
     assert est.value >= 0.762563942662 - 1e-9
-    assert est.value > eof_numeric(choi(ch).state, restarts=8, seed=0).value + 0.04
+    assert est.value > eof_numeric(choi(ch), restarts=8, seed=0).value + 0.04
 
 
 def test_ec1_general_dimension_cap():
@@ -187,7 +187,7 @@ def test_dephasing_curves_sandwich_everywhere():
         assert cols["q_arrow"][i] <= cols["ec1"][i] + 1e-12
         assert cols["q_arrow"][i] <= cols["q_e"][i] + 1e-12
         # half of log2 d + S(B) - S(AB) on the Choi state J, output B first
-        j = choi(dephasing(p)).state.mat
+        j = choi(dephasing(p)).mat
         out = np.einsum("abcb->ac", j.reshape(2, 2, 2, 2))
         s_b, s_ab = (-sum(w * math.log2(w) for w in np.linalg.eigvalsh(m) if w > 1e-15)
                      for m in (out, j))

@@ -93,7 +93,7 @@ def test_concurrence_bell():
 
 def test_concurrence_dephasing_choi():
     for p in (0.0, 0.1, 0.25, 0.5, 0.8, 1.0):
-        c = concurrence_2q(choi(dephasing(p)).state)
+        c = concurrence_2q(choi(dephasing(p)))
         assert c == pytest.approx(abs(1 - 2 * p), abs=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_concurrence_matches_brute_force_oracle():
 
 def test_concurrence_half_damped_choi():
     from entcost.channels import amplitude_damping
-    rho = choi(amplitude_damping(0.5)).state
+    rho = choi(amplitude_damping(0.5))
     c = concurrence_2q(rho)
     assert 0.0 < c < 1.0
     assert c == pytest.approx(concurrence_oracle(rho), abs=1e-6)
@@ -125,13 +125,13 @@ def test_concurrence_multiplicative_under_local_channels():
         psi = random_pure_state((2, 2), rng)
         out = apply(ch, psi.to_density_matrix())
         lhs = concurrence_2q(out)
-        rhs = concurrence_2q(choi(ch).state) * concurrence_2q(psi.to_density_matrix())
+        rhs = concurrence_2q(choi(ch)) * concurrence_2q(psi.to_density_matrix())
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_eof_2q_values():
     assert eof_2q(bell_dm()) == pytest.approx(1.0, abs=1e-12)
-    got = eof_2q(choi(dephasing(0.25)).state)
+    got = eof_2q(choi(dephasing(0.25)))
     want = binary_h(0.5 + math.sqrt(3) / 4)
     assert got == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.354579, abs=1e-6)
@@ -188,7 +188,7 @@ def test_eof_cq_conditional_examples():
 
 
 def test_eigen_ensemble_is_suboptimal_for_dephasing_choi():
-    rho = choi(dephasing(0.25)).state
+    rho = choi(dephasing(0.25))
     w, v = np.linalg.eigh(rho.mat)
     items = []
     for i in range(4):
@@ -241,10 +241,33 @@ def test_eof_numeric_stops_once_the_best_restart_is_stationary(monkeypatch):
     assert len(calls) <= 200, len(calls)
 
 
+def test_descend_guards_a_kept_step_of_length_zero():
+    # the retraction of w - 0.5 w is w bit for bit, and the trial value 0.5
+    # passes the Armijo test, so the kept step has s = 0: its Barzilai-Borwein
+    # step would be 0/0, and the guard sets it to 0, which ends the restart
+    from entcost.entanglement import _descend
+
+    w = np.eye(2, dtype=complex)[None]
+    calls = []
+
+    def objective(x):
+        calls.append(x.copy())
+        return np.array([1.0 if len(calls) == 1 else 0.5]), 0.5 * w
+
+    with np.errstate(all="raise"):
+        vals, out = _descend(w.copy(), 10, objective, never)[:2]
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], w)
+    np.testing.assert_array_equal(out, w)
+    assert vals[0] == 0.5
+
+
 def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
-    # a 3x3 output of a 2-Kraus channel at a pure input: descending its top-3
-    # screen output without the certificate stop keeps a step that leaves a
-    # restart bit-identical, where the Barzilai-Borwein step would be 0/0
+    # a 3x3 output of a 2-Kraus channel at a pure input: polishing its top-3
+    # screen output for up to 1000 steps without the certificate stop warns
+    # of no floating-point error and ends no restart above its screen value;
+    # no kept step here has length 0, which only
+    # test_descend_guards_a_kept_step_of_length_zero reaches
     from entcost.entanglement import _descend, _EnsembleSearch
 
     search = _EnsembleSearch(channel_output((5, 4012)), None)
@@ -666,7 +689,7 @@ def test_array_holding_dataclasses_compare_by_identity():
 
     makers = [bell_dm, lambda: PureState((2, 2), BELL_PLUS), lambda: max_entangled(2),
               lambda: dephasing(0.3), lambda: choi(dephasing(0.3)),
-              lambda: ClassicalJoint(2, 2, np.full((2, 2), 0.25)),
+              lambda: ClassicalJoint(np.full((2, 2), 0.25)),
               lambda: Decomposition(((1.0, PureState((2, 2), BELL_PLUS)),), bell_dm()),
               lambda: eof_numeric(bell_dm(), restarts=1),
               lambda: one_shot_cost_bounds(bell_dm(), 0.0, restarts=1)]

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import dataclasses
 import numpy as np
 import pytest
 
@@ -141,17 +142,17 @@ def test_h0_cond_cq():
 
 
 def test_classical_h0_cond():
-    uniform = ClassicalJoint(4, 1, np.full((4, 1), 0.25))
+    uniform = ClassicalJoint(np.full((4, 1), 0.25))
     assert classical_h0_cond(uniform) == 2.0
-    table = ClassicalJoint(3, 2, np.array([[0.2, 0.3], [0.2, 0.0], [0.3, 0.0]]))
+    table = ClassicalJoint(np.array([[0.2, 0.3], [0.2, 0.0], [0.3, 0.0]]))
     assert classical_h0_cond(table) == pytest.approx(math.log2(3))
-    prod = ClassicalJoint(2, 2, np.full((2, 2), 0.25))
+    prod = ClassicalJoint(np.full((2, 2), 0.25))
     assert classical_h0_cond(prod) == 1.0
 
 
 def test_support_rules_exact_for_tables_rank_rule_for_spectra():
     # a classical atom counts whenever it is > 0, however small
-    table = ClassicalJoint(3, 1, np.array([[0.6], [0.4], [1e-300]]))
+    table = ClassicalJoint(np.array([[0.6], [0.4], [1e-300]]))
     assert classical_h0_cond(table) == math.log2(3)
     assert classical_smooth_h0_cond(table, 0.0) == math.log2(3)
     # a branch's Schmidt weight at or below RANK_RTOL of its branch weight is
@@ -160,7 +161,7 @@ def test_support_rules_exact_for_tables_rank_rule_for_spectra():
 
 
 def test_classical_smooth_h0_single_column():
-    col = ClassicalJoint(4, 1, np.array([[0.5], [0.3], [0.15], [0.05]]))
+    col = ClassicalJoint(np.array([[0.5], [0.3], [0.15], [0.05]]))
     assert classical_smooth_h0_cond(col, 0.0) == classical_h0_cond(col)
     assert classical_smooth_h0_cond(col, 0.05) == pytest.approx(math.log2(3))
     assert classical_smooth_h0_cond(col, 0.25) == pytest.approx(1.0)
@@ -176,7 +177,7 @@ def test_classical_smooth_h0_monotone_in_eps():
     for _ in range(20):
         w = rng.random((4, 3))
         w /= w.sum()
-        table = ClassicalJoint(4, 3, w)
+        table = ClassicalJoint(w)
         vals = [classical_smooth_h0_cond(table, e)
                 for e in (0.0, 0.01, 0.05, 0.2, 0.5, 0.9)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -192,7 +193,7 @@ def test_classical_smooth_h0_matches_brute_force():
         total = w.sum()
         if total > 0:
             w /= total
-        table = ClassicalJoint(nx, ny, w)
+        table = ClassicalJoint(w)
         for eps in (0.0, 0.05, 0.2, 0.5):
             got = classical_smooth_h0_cond(table, eps)
             want = brute_force_smooth_h0(w, eps)
@@ -262,14 +263,14 @@ def test_h0_mixing_subadditivity():
 
 
 def test_aep_point_mass():
-    table = ClassicalJoint(2, 2, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    table = ClassicalJoint(np.array([[1.0, 0.0], [0.0, 0.0]]))
     res = aep_check(table, 0.1, 4)
     assert res.lhs == 0.0
     assert res.holds
 
 
 def test_aep_uniform_binary():
-    table = ClassicalJoint(2, 1, np.array([[0.5], [0.5]]))
+    table = ClassicalJoint(np.array([[0.5], [0.5]]))
     res = aep_check(table, 0.1, 4)
     # 16 uniform atoms of 1/16: a 0.1 budget can drop exactly one of them
     assert res.lhs == pytest.approx(math.log2(15) / 4, abs=1e-12)
@@ -285,7 +286,7 @@ def test_aep_random_tables():
         ny = int(rng.integers(1, 3))
         w = rng.random((nx, ny))
         w /= w.sum()
-        table = ClassicalJoint(nx, ny, w)
+        table = ClassicalJoint(w)
         for eps in (0.3, 0.1, 0.01):
             for n in (1, 3, 5):
                 res = aep_check(table, eps, n)
@@ -294,13 +295,13 @@ def test_aep_random_tables():
 
 
 def test_aep_table_size_guard():
-    table = ClassicalJoint(3, 2, np.full((3, 2), 1 / 6))
+    table = ClassicalJoint(np.full((3, 2), 1 / 6))
     with pytest.raises(ValueError):
         aep_check(table, 0.1, 9)
 
 
 def test_product_table():
-    table = ClassicalJoint(2, 1, np.array([[0.25], [0.75]]))
+    table = ClassicalJoint(np.array([[0.25], [0.75]]))
     prod = product_table(table, 2)
     np.testing.assert_allclose(prod.weights.reshape(-1),
                                [0.0625, 0.1875, 0.1875, 0.5625])
@@ -308,17 +309,25 @@ def test_product_table():
 
 def test_classical_cond_entropy():
     # independent X uniform given Y: H(X|Y) = 1
-    table = ClassicalJoint(2, 2, np.full((2, 2), 0.25))
+    table = ClassicalJoint(np.full((2, 2), 0.25))
     assert classical_cond_entropy(table) == pytest.approx(1.0)
-    skew = ClassicalJoint(2, 2, np.array([[0.5, 0.0], [0.0, 0.5]]))
+    skew = ClassicalJoint(np.array([[0.5, 0.0], [0.0, 0.5]]))
     assert classical_cond_entropy(skew) == pytest.approx(0.0)
 
 
 def test_classical_joint_validation():
     with pytest.raises(ValidationError):
-        ClassicalJoint(2, 1, np.array([[0.5], [-0.1]]))
+        ClassicalJoint(np.array([[0.5], [-0.1]]))
     with pytest.raises(ValidationError):
-        ClassicalJoint(2, 1, np.array([[0.9], [0.9]]))
+        ClassicalJoint(np.array([[0.9], [0.9]]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        ClassicalJoint(np.array([[np.inf]]))
+    for bad in (np.array([0.5, 0.5]), np.zeros((0, 2)), np.zeros((2, 0)), np.full((1, 1, 1), 0.5)):
+        with pytest.raises(ValueError, match=r"expected \(nx >= 1, ny >= 1\)"):
+            ClassicalJoint(bad)
+    # the alphabet sizes are the table's shape, not a second record
+    assert [f.name for f in dataclasses.fields(ClassicalJoint)] == ["weights"]
+    assert (ClassicalJoint(np.full((3, 2), 1 / 6)).nx, ClassicalJoint(np.zeros((3, 2))).ny) == (3, 2)
 
 
 def test_csv_round_trip():

@@ -11,6 +11,7 @@ from entcost.linalg import (
     haar_isometry,
     herm_eig,
     partial_trace,
+    partial_trace_mat,
     partial_transpose_mat,
     psd_sqrt,
     random_density_matrix,
@@ -222,6 +223,28 @@ def test_density_matrix_validation():
     assert sub.trace() == pytest.approx(0.8)
     with pytest.raises(ValidationError):
         DensityMatrix((2, 2), np.eye(2) / 2)  # dims mismatch
+
+
+def test_subsystem_dimensions_are_integers_of_at_least_one():
+    # one rule wherever dims are taken: a Python or numpy integer >= 1; a
+    # float, integral or not, and a bool are refused rather than truncated
+    rng = np.random.default_rng(71)
+    mat, vec = np.eye(4) / 4, np.ones(4) / 2
+    takers = [lambda dims: DensityMatrix(dims, mat),
+              lambda dims: PureState(dims, vec),
+              lambda dims: partial_trace_mat(mat, dims, 0),
+              lambda dims: partial_transpose_mat(mat, dims, 0),
+              lambda dims: random_pure_state(dims, rng),
+              lambda dims: random_density_matrix(dims, 1, rng)]
+    for take in takers:
+        for bad in ((2.9, 2), (2.0, 2), (1.5, 4), np.array([2.0, 2.0]), (True, 4),
+                    (np.bool_(True), 4), (2, 0), (4, 1, 0), ()):
+            with pytest.raises(ValidationError, match="invalid subsystem dimensions"):
+                take(bad)
+        take((np.int64(2), np.int32(2)))
+    for dims in ((np.int64(2), 2), np.array([2, 2]), (np.uint8(4), 1)):
+        got = DensityMatrix(dims, mat).dims
+        assert got == tuple(int(d) for d in dims) and all(type(d) is int for d in got)
 
 
 def test_pure_state_validation():
