@@ -134,9 +134,15 @@ def security_threshold(ch: KrausChannel) -> float:
     return float(_nu_max(ec1_qubit(ch)))
 
 
-# Grid points per stacked evaluation in security_region.  The stacks take
-# about 1.5 KB a point, so a chunk stays near 6 MB whatever the grid size.
+# Grid points per piece of a curve sweep: a security-region piece takes about 6 MB.
 _CHUNK = 4096
+
+
+def _sweep(f, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled along its last axis with ``f`` of each ``_CHUNK``-point piece."""
+    for start in range(0, grid.size, _CHUNK):
+        out[..., start:start + _CHUNK] = f(grid[start:start + _CHUNK])
+    return out
 
 
 def security_region(family: str, grid: Sequence[float]) -> dict[str, np.ndarray]:
@@ -147,18 +153,15 @@ def security_region(family: str, grid: Sequence[float]) -> dict[str, np.ndarray]
     for the families in :data:`entcost.channels.TELEPORTATION_COVERED`
     (dephasing and depolarizing) through teleportation with the Choi state
     (see :func:`security_threshold`); the ``amplitude_damping`` rows are not
-    covered by that argument.  The grid is evaluated in stacked chunks: one
-    Choi stack, one batched square root and one batched SVD per chunk, with
-    the values :func:`ec1_qubit` gives point by point.
+    covered by that argument.  Each ``_CHUNK``-point piece of the grid takes
+    one Choi stack, square root, SVD and array :func:`binary_h`, with the
+    values :func:`ec1_qubit` gives point by point.
     """
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
     grid = np.asarray(grid, dtype=float)
-    ec1 = np.empty(grid.shape)
-    for start in range(0, grid.size, _CHUNK):
-        part = grid[start:start + _CHUNK]
-        ec1[start:start + part.size] = [
-            _eof_from_concurrence(c) for c in _concurrence(family_choi(family, part)).tolist()]
+    ec1 = _sweep(lambda part: _eof_from_concurrence(_concurrence(family_choi(family, part))),
+                 grid, np.empty(grid.shape))
     return {QUBIT_FAMILIES[family][0]: grid, "ec1": ec1, "nu_max": _nu_max(ec1)}
 
 
@@ -169,8 +172,9 @@ def dephasing_curves(grid: Sequence[float]) -> dict[str, np.ndarray]:
     the closed-form single-letter cost bound ``ec1 = h(1/2 + sqrt(p(1-p)))``,
     and the entanglement-assisted quantum capacity ``q_e = 1 - h(p)/2``, half
     of ``log2 d + S(B) - S(AB)`` on the Choi state; returned as the columns
-    ``{"p", "q_arrow", "ec1", "q_e"}``.  The bound q_arrow <= ec1 is checked
-    at every point; a violation raises, as it would contradict a theorem.
+    ``{"p", "q_arrow", "ec1", "q_e"}``, from one array :func:`binary_h` per
+    ``_CHUNK``-point piece, with the values it gives point by point.  A point
+    with q_arrow > ec1 raises, as that would contradict a theorem.
 
     The flip probability must lie in [0, 1/2]: dephasing at 1 - p is the
     same channel up to a Z rotation, and the capacity expressions are only
@@ -180,15 +184,16 @@ def dephasing_curves(grid: Sequence[float]) -> dict[str, np.ndarray]:
     bad = ~((p >= 0.0) & (p <= 0.5 + 1e-12))
     if bad.any():
         raise ValueError(f"dephasing flip probability {p[bad][0]} outside [0, 1/2]")
-    h = np.array([binary_h(x) for x in p.tolist()])
-    q_arrow = 1.0 - h
-    ec1 = np.array([binary_h(0.5 + math.sqrt(x * (1.0 - x))) for x in p.tolist()])
+    h, ec1 = _sweep(lambda part: binary_h(np.stack([part, 0.5 + np.sqrt(part * (1.0 - part))])),
+                    p, np.empty((2,) + p.shape))
+    q_e = 1.0 - 0.5 * h
+    q_arrow = np.subtract(1.0, h, out=h)  # in place: h is spent
     bad = q_arrow > ec1 + 1e-12
     if bad.any():
         i = int(bad.argmax())
         raise RuntimeError(f"capacity bound q_arrow <= ec1 violated at p={p[i]}: "
                            f"{q_arrow[i]}, {ec1[i]}")
-    return {"p": p, "q_arrow": q_arrow, "ec1": ec1, "q_e": 1.0 - 0.5 * h}
+    return {"p": p, "q_arrow": q_arrow, "ec1": ec1, "q_e": q_e}
 
 
 def identity_error_bound(rate: float, n: int) -> float:

@@ -66,8 +66,8 @@ def _concurrence(mats: np.ndarray) -> np.ndarray:
     return np.where(c > 0.0, c, 0.0)
 
 
-def _eof_from_concurrence(c: float) -> float:
-    return binary_h(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+def _eof_from_concurrence(c):
+    return binary_h(0.5 + 0.5 * np.sqrt(np.maximum(0.0, 1.0 - c * c)))
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
@@ -297,7 +297,7 @@ class _EnsembleSearch:
         delta = np.asarray(delta, dtype=float)
         cols = np.expand_dims(np.moveaxis(sq, -1, 0), tuple(range(1, 1 + delta.ndim)))
         support, _ = _smooth_support(cols, delta[..., None])
-        return np.vectorize(_log2_support, otypes=[float])(support).tolist()
+        return _log2_support(support).tolist()
 
     def decomposition(self, rows: np.ndarray) -> Decomposition:
         items = []
@@ -445,11 +445,13 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     the result never exceeds the start nor undershoots the true infimum.
     ``converged`` means the certificate holds at the end, or the state has
     rank 1 (its decomposition is unique), or at least two restarts end
-    within ``tol`` of the best value.  Restart streams (seed, restart index)
-    make it deterministic for a fixed ``seed``, which must be nonnegative.
+    within ``tol`` (finite, nonnegative) of the best value.  Restart streams
+    (seed, restart index) make it deterministic for a fixed nonnegative ``seed``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol {tol} must be finite and nonnegative")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho, max_items)

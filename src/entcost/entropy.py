@@ -56,21 +56,21 @@ class ClassicalJoint:
         return float(self.weights.sum())
 
 
-def binary_h(p: float) -> float:
-    """Binary Shannon entropy in bits."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"binary entropy argument {p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
+def binary_h(p):
+    """Binary entropy in bits of each entry of ``p`` in [0, 1] (a float for a scalar)."""
+    p = np.asarray(p, dtype=float)
+    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"binary entropy argument {p[bad][0]} outside [0, 1]")
+    h = _entropy_from_eigs(np.minimum(np.stack([p, 1.0 - p], axis=-1), 1.0))
+    return float(h) if h.ndim == 0 else h
 
 
 def _entropy_from_eigs(evals: np.ndarray):
     """Entropy in bits of each spectrum along the last axis, negative
-    eigenvalues counted as 0."""
+    eigenvalues counted as 0; an entropy of zero is +0.0."""
     w = np.clip(np.asarray(evals, dtype=float), 0.0, None)
-    return -(w * np.log2(w, out=np.zeros_like(w), where=w > 0.0)).sum(axis=-1)
+    return 0.0 - (w * np.log2(w, out=np.zeros_like(w), where=w > 0.0)).sum(axis=-1)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -87,9 +87,10 @@ def cond_von_neumann(rho: DensityMatrix) -> float:
     return von_neumann(rho) - von_neumann(partial_trace(rho, keep=1))
 
 
-def _log2_support(s: int) -> float:
-    """log2 of a support count; the empty support (0) gives -inf."""
-    return math.log2(s) if s > 0 else -math.inf
+def _log2_support(s):
+    """log2 of each support count in ``s`` (a float for a scalar); 0 gives -inf."""
+    out = np.log2(s, out=np.full(np.shape(s), -np.inf), where=np.greater(s, 0))
+    return float(out) if out.ndim == 0 else out
 
 
 def h0(rho: DensityMatrix) -> float:
@@ -137,7 +138,7 @@ def classical_smooth_h0_cond(p: ClassicalJoint, eps: float) -> float:
     """
     if not eps >= 0.0:
         raise ValueError(f"smoothing budget {eps} must be nonnegative")
-    return _log2_support(int(_smooth_support(p.weights, eps)[0]))
+    return _log2_support(_smooth_support(p.weights, eps)[0])
 
 
 def classical_cond_entropy(p: ClassicalJoint) -> float:

@@ -327,6 +327,10 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2 and out == ""
     code, out, _ = invoke(capsys, "eof", "--state", CC, "--numeric", "--tol", "nan")
     assert code == 2 and out == ""
+    # an infinite or negative tolerance would label any search converged
+    for tol in ("inf", "-1e-9"):
+        code, out, err = invoke(capsys, "eof", "--state", CC, "--numeric", f"--tol={tol}")
+        assert code == 2 and out == "" and f"tol {float(tol)} must be finite" in err
     # fewer than one restart is a usage error for every seeded search
     code, out, _ = invoke(capsys, "one-shot-cost", "--state", CC, "--eps", "0.1",
                           "--restarts", "-3")

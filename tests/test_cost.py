@@ -16,6 +16,7 @@ from entcost.channels import (
     random_channel,
 )
 from entcost.cost import (
+    _CHUNK,
     ConverseParams,
     UNBOUNDED,
     definetti_count_log2,
@@ -192,6 +193,22 @@ def test_dephasing_curves_sandwich_everywhere():
         s_b, s_ab = (-sum(w * math.log2(w) for w in np.linalg.eigvalsh(m) if w > 1e-15)
                      for m in (out, j))
         assert cols["q_e"][i] == pytest.approx((1.0 + s_b - s_ab) / 2, abs=1e-12)
+
+
+def test_curves_across_a_chunk_seam():
+    # _CHUNK + 3 points take two pieces: each dephasing column is exactly the
+    # per-point formula on both sides of the seam
+    grid = np.linspace(0.0, 0.5, _CHUNK + 3)
+    cols = dephasing_curves(grid)
+    h = [binary_h(p) for p in grid.tolist()]
+    assert cols["q_arrow"].tolist() == [1.0 - x for x in h]
+    assert cols["ec1"].tolist() == [binary_h(0.5 + math.sqrt(p * (1.0 - p)))
+                                    for p in grid.tolist()]
+    assert cols["q_e"].tolist() == [1.0 - 0.5 * x for x in h]
+    # and the security sweep of the whole grid is its two pieces swept apart
+    whole = security_region("depolarizing", grid)["ec1"]
+    apart = [security_region("depolarizing", g)["ec1"] for g in (grid[:_CHUNK], grid[_CHUNK:])]
+    assert whole.tolist() == np.concatenate(apart).tolist()
 
 
 def test_dephasing_curves_rejects_out_of_range():

@@ -389,6 +389,15 @@ def test_negative_seed_is_refused_at_every_restart_count():
                 call()
 
 
+def test_eof_numeric_refuses_a_negative_or_infinite_tol():
+    # at tol = inf any two restarts agree, so this uncertified search
+    # (converged False at the default tol) would read converged
+    rho = random_density_matrix((3, 3), 9, np.random.default_rng((70, 0)))
+    for tol in (math.inf, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            eof_numeric(rho, restarts=2, seed=1, tol=tol)
+
+
 def test_eof_numeric_separable_mixture():
     res = eof_numeric(cc_state(), restarts=8, seed=0)
     assert res.value <= 1e-6

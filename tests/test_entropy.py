@@ -7,9 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from entcost.channels import dephasing
+from entcost.cost import ec1_qubit
 from entcost.entropy import (
     AepCheck,
     ClassicalJoint,
+    _log2_support,
     aep_check,
     binary_h,
     classical_cond_entropy,
@@ -21,7 +24,8 @@ from entcost.entropy import (
     product_table,
     von_neumann,
 )
-from entcost.entanglement import _EnsembleSearch, eof_cq_conditional, one_shot_cost_bounds
+from entcost.entanglement import (_EnsembleSearch, eof_2q, eof_cq_conditional,
+                                  one_shot_cost_bounds)
 from entcost.linalg import (
     RANK_RTOL,
     DensityMatrix,
@@ -126,6 +130,39 @@ def test_binary_h():
     assert direct == pytest.approx(0.4999159581645, abs=1e-12)
     with pytest.raises(ValueError):
         binary_h(1.2)
+
+
+def test_binary_h_is_an_array_function():
+    # the argument's shape, and per entry exactly what the scalar call gives
+    p = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    h = binary_h(p)
+    assert h.shape == (3, 4)
+    assert h.tolist() == [[binary_h(x) for x in row] for row in p.tolist()]
+    # exactly +0.0 at both ends, also within the 1e-12 clipping margin
+    ends = binary_h([0.0, 1.0, -1e-13, 1.0 + 1e-13])
+    assert ends.tolist() == [0.0] * 4 and not np.signbit(ends).any()
+    # the error names the first entry outside [0, 1], NaN included
+    with pytest.raises(ValueError, match=r"argument 1\.5 outside"):
+        binary_h([[0.2, 1.5], [-0.5, 0.3]])
+    with pytest.raises(ValueError, match=r"argument nan outside"):
+        binary_h([0.2, math.nan, 2.0])
+
+
+def test_log2_support_is_an_array_function():
+    s = np.array([[0, 1, 2], [3, 6, 1 << 20]])
+    out = _log2_support(s)
+    assert out.shape == (2, 3)
+    assert out.tolist() == [[_log2_support(k) for k in row] for row in s.tolist()]
+    assert out.tolist() == [[-math.inf, 0.0, 1.0], [math.log2(3), math.log2(6), 20.0]]
+
+
+def test_scalar_arguments_give_python_floats():
+    # the CLI's JSON writer takes floats, not 0-d arrays
+    assert type(binary_h(0.3)) is float and type(binary_h(np.float64(0.3))) is float
+    assert type(_log2_support(3)) is float and _log2_support(0) == -math.inf
+    assert type(eof_2q(DensityMatrix((2, 2), np.outer(BELL_PLUS, BELL_PLUS.conj())))) is float
+    assert type(ec1_qubit(dephasing(0.2))) is float
+    assert type(h0(dm([0.5, 0.5]))) is float
 
 
 def test_h0():
