@@ -1,13 +1,12 @@
 """Quantum channels: Kraus form, the standard qubit noise models, JSON wire formats.
 
 Channels live in Kraus form; :func:`apply` and :func:`choi` each contract
-the stacked Kraus operators once, with no Kronecker-lifted copies.  The Choi
-state is the Kraus gram ``J = sum_k vec(K_k) vec(K_k)^H / dim_in`` with
-``vec`` the row-major flattening, which equals the normalized
-``(E (x) I)(phi)`` for ``phi`` maximally entangled.  It is a density matrix
-on ``[dim_out, dim_in]`` (output factor first) and feeds directly into the
-two-qubit concurrence machinery.  :func:`channel_from_json` and
-:func:`state_from_json` parse the channel and state wire formats.
+the stacked Kraus operators once.  The Choi state J, ``(E (x) I)(phi)`` for
+phi maximally entangled, is the Kraus gram ``sum_k vec(K_k) vec(K_k)^H / dim_in``
+(row-major ``vec``) on ``[dim_out, dim_in]``.  :func:`teleportation_covered`
+tells from J, to ``CHOI_TOL``, whether teleportation with J simulates the
+channel, so that ``ec1`` bounds its entanglement cost.  :func:`channel_from_json`
+and :func:`state_from_json` parse the wire formats.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .linalg import (
 
 COMPLETENESS_TOL = 1e-9   # max-entry deviation of sum K^dag K from identity
 MAX_CHANNEL_DIM = 64      # dim_in * dim_out cap
+CHOI_TOL = 1e-9           # Choi input-marginal and Bell-basis off-diagonal tolerance
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -55,7 +55,7 @@ def _check_kraus(ks: np.ndarray) -> None:
 def _check_choi_marginal(mat: np.ndarray, dim_out: int, dim_in: int) -> None:
     """Input marginal I/dim_in to 1e-9 for a Choi matrix or a stack of them."""
     marg = partial_trace_mat(mat, (dim_out, dim_in), keep=1)
-    if np.max(np.abs(marg - np.eye(dim_in) / dim_in)) > 1e-9:
+    if np.max(np.abs(marg - np.eye(dim_in) / dim_in)) > CHOI_TOL:
         raise ValidationError("Choi input marginal deviates from I/dim_in beyond 1e-9")
 
 
@@ -198,10 +198,21 @@ QUBIT_FAMILIES = {
     "amplitude_damping": ("r", _amplitude_damping_kraus),
 }
 
-# Channel types that teleportation with the Choi state J simulates, so that
-# E_C(N) <= E_C(J) <= E_F(J) = ec1 holds for them.  Amplitude damping and
-# general Kraus channels are not covered by this argument.
-TELEPORTATION_COVERED = frozenset({"identity", "dephasing", "depolarizing"})
+
+def teleportation_covered(j) -> np.ndarray:
+    """True where teleportation with J simulates the channel, so E_C(N) <= E_F(J):
+    J (a Choi state or a ``(..., d^2, d^2)`` stack) is of a d -> d channel and at most
+    ``CHOI_TOL`` off the diagonal in the generalized Bell basis ``vec(X^a Z^b)/sqrt(d)``."""
+    mats = getattr(j, "mat", j)
+    d = math.isqrt(mats.shape[-1])
+    if getattr(j, "dims", (d, d)) != (d, d):
+        return np.False_
+    k = np.arange(d)
+    shift = np.eye(d)[(k - k[:, None]) % d]            # X^a [i, l] = [i == l + a]
+    phase = np.exp(2j * np.pi / d * np.outer(k, k))    # Z^b [l, l] = w^(b l)
+    bell = (shift[:, None] * phase[:, None]).reshape(d * d, d * d).T / np.sqrt(d)
+    off = (bell.conj().T @ mats @ bell)[..., ~np.eye(d * d, dtype=bool)]
+    return (np.abs(off) <= CHOI_TOL).all(axis=-1)
 
 
 def _count(x) -> bool:

@@ -21,11 +21,11 @@ import numpy as np
 from . import cost
 from .channels import (
     QUBIT_FAMILIES,
-    TELEPORTATION_COVERED,
     SchemaError,
     channel_from_json,
     choi,
     state_from_json,
+    teleportation_covered,
 )
 from .entanglement import (
     Decomposition,
@@ -183,9 +183,8 @@ def _emit_curve(cols: dict[str, np.ndarray], fmt: str, **head) -> Iterator[str]:
 
 
 def _cmd_security_region(args) -> Iterator[str]:
-    cols = cost.security_region(args.family, _grid(args.points, 1.0))
-    return _emit_curve(cols, args.format, family=args.family,
-                       threshold_proven=args.family in TELEPORTATION_COVERED)
+    cols, proven = cost.security_region(args.family, _grid(args.points, 1.0))
+    return _emit_curve(cols, args.format, family=args.family, threshold_proven=proven)
 
 
 def _cmd_dephasing_curves(args) -> Iterator[str]:
@@ -195,9 +194,8 @@ def _cmd_dephasing_curves(args) -> Iterator[str]:
 _RATE_NOTE_COVERED = "rate = ec1 + delta2 >= true entanglement cost + delta2"
 _RATE_NOTE_UNCOVERED = (
     "rate = ec1 + delta2 is not shown to bound the true entanglement cost + delta2:"
-    " E_C(N) <= E_F(J) for the Choi state J is not established for the declared channel"
-    " type (coverage goes by type, so a Pauli channel given as kraus gets this note),"
-    " and outside 2->2 a heuristic ec1 may also undershoot")
+    " E_C(N) <= E_F(J) holds for d->d channels whose Choi state J is diagonal in the"
+    " generalized Bell basis, and outside 2->2 a heuristic ec1 may also undershoot")
 
 
 def _cmd_strong_converse(args) -> str:
@@ -210,11 +208,10 @@ def _cmd_strong_converse(args) -> str:
             "n": args.n,
             "error_lower_bound": cost.identity_error_bound(args.rate, args.n),
         })
-    desc = _parse_json_arg(args.channel, "--channel")
-    ch = channel_from_json(desc)
-    ec1, certified = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
+    ch = parse_channel(args.channel)
     params = cost.ConverseParams(delta1=args.delta1, delta2=args.delta2,
                                  dim_in=ch.dim_in, dim_out=ch.dim_out, n=args.n)
+    ec1, certified = cost.ec1_general(ch, restarts=args.restarts, seed=args.seed)
     raw = cost.strong_converse_error_bound(params, ec1)
     return _emit_json({
         "mode": "channel",
@@ -224,7 +221,7 @@ def _cmd_strong_converse(args) -> str:
         "ec1": ec1,
         "ec1_certified": certified,
         "rate": ec1 + args.delta2,
-        "rate_note": (_RATE_NOTE_COVERED if desc["type"] in TELEPORTATION_COVERED
+        "rate_note": (_RATE_NOTE_COVERED if teleportation_covered(choi(ch))
                       else _RATE_NOTE_UNCOVERED),
         "simulation_error": cost.simulation_error(args.n, args.delta1,
                                                   ch.dim_in, ch.dim_out),

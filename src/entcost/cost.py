@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import QUBIT_FAMILIES, KrausChannel, apply, choi, family_choi
+from .channels import (QUBIT_FAMILIES, KrausChannel, apply, choi, family_choi,
+                       teleportation_covered)
 from .entanglement import (_concurrence, _eof_from_concurrence, eof_2q, eof_numeric,
                            max_entangled)
 from .entropy import MAX_TABLE_CELLS, binary_h
@@ -74,6 +75,8 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if ch.dim_in == 2 and ch.dim_out == 2:
         return Ec1Estimate(ec1_qubit(ch), True)
     if ch.dim_in * ch.dim_out > 16:
@@ -124,9 +127,8 @@ def security_threshold(ch: KrausChannel) -> float:
 
     The threshold is proven where ec1 upper-bounds the entanglement cost of
     the storage channel N.  Teleportation with the Choi state J gives
-    ``E_C(N) <= E_C(J) <= E_F(J) = ec1`` for channels it simulates, the types
-    listed in :data:`entcost.channels.TELEPORTATION_COVERED`; that argument
-    does not cover other qubit channels, amplitude damping among them.
+    ``E_C(N) <= E_C(J) <= E_F(J) = ec1`` for the channels it simulates, which
+    :func:`entcost.channels.teleportation_covered` tells from J.
     Returns ``math.inf`` (the unbounded marker) when the single-letter bound
     is zero, i.e. for entanglement-breaking storage noise, where security
     holds at every storage rate.
@@ -145,24 +147,26 @@ def _sweep(f, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def security_region(family: str, grid: Sequence[float]) -> dict[str, np.ndarray]:
+def security_region(family: str, grid: Sequence[float]) -> tuple[dict[str, np.ndarray], bool]:
     """Security boundary nu_max(param) = 1/(2 ec1) for one channel family.
 
     Returns the columns ``{param: grid, "ec1": ..., "nu_max": ...}``, the
-    parameter under its wire name (``QUBIT_FAMILIES[family][0]``).  Proven
-    for the families in :data:`entcost.channels.TELEPORTATION_COVERED`
-    (dephasing and depolarizing) through teleportation with the Choi state
-    (see :func:`security_threshold`); the ``amplitude_damping`` rows are not
-    covered by that argument.  Each ``_CHUNK``-point piece of the grid takes
-    one Choi stack, square root, SVD and array :func:`binary_h`, with the
-    values :func:`ec1_qubit` gives point by point.
+    parameter under its wire name (``QUBIT_FAMILIES[family][0]``), and whether
+    :func:`entcost.channels.teleportation_covered` proves the boundary at every
+    point (always for dephasing and depolarizing).  Each ``_CHUNK``-point piece
+    takes one Choi stack, which that predicate reads, and one square root, SVD
+    and array :func:`binary_h`, with the values :func:`ec1_qubit` point by point.
     """
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
     grid = np.asarray(grid, dtype=float)
-    ec1 = _sweep(lambda part: _eof_from_concurrence(_concurrence(family_choi(family, part))),
-                 grid, np.empty(grid.shape))
-    return {QUBIT_FAMILIES[family][0]: grid, "ec1": ec1, "nu_max": _nu_max(ec1)}
+    covered = []  # one flag per piece, read off the Choi stack ec1 is computed from
+    def piece(part):
+        mats = family_choi(family, part)
+        covered.append(teleportation_covered(mats).all())
+        return _eof_from_concurrence(_concurrence(mats))
+    ec1 = _sweep(piece, grid, np.empty(grid.shape))
+    return {QUBIT_FAMILIES[family][0]: grid, "ec1": ec1, "nu_max": _nu_max(ec1)}, all(covered)
 
 
 def dephasing_curves(grid: Sequence[float]) -> dict[str, np.ndarray]:

@@ -190,7 +190,7 @@ def test_criterion_06_security_regions():
         ("depolarizing", ec.depolarizing, 0.0, lambda x: x >= 2.0 / 3.0 - 1e-9),
         ("amplitude_damping", ec.amplitude_damping, 1.0, lambda x: x == 0.0),
     ):
-        cols = ec.security_region(family, GRID_101)
+        cols, _ = ec.security_region(family, GRID_101)
         xs, ec1, nu_max = cols.values()
         assert len(xs) == len(ec1) == len(nu_max) == 101
         for x, e, nu in zip(xs.tolist(), ec1.tolist(), nu_max.tolist()):

@@ -7,6 +7,7 @@ import pytest
 
 from entcost import channels
 from entcost.channels import (
+    CHOI_TOL,
     QUBIT_FAMILIES,
     KrausChannel,
     SchemaError,
@@ -20,6 +21,7 @@ from entcost.channels import (
     family_choi,
     identity,
     random_channel,
+    teleportation_covered,
 )
 from entcost.entanglement import concurrence_2q
 from entcost.linalg import (
@@ -36,12 +38,6 @@ def trace_distance(a, b):
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-BELL_BASIS = np.array([
-    [1, 0, 0, 1],
-    [1, 0, 0, -1],
-    [0, 1, 1, 0],
-    [0, 1, -1, 0],
-], dtype=complex).T / np.sqrt(2)
 
 
 def plus_state():
@@ -138,12 +134,41 @@ def test_choi_input_marginal_is_maximally_mixed():
                                    atol=1e-9)
 
 
-def test_pauli_family_chois_are_bell_diagonal():
-    for ch in (dephasing(0.3), depolarizing(0.6)):
-        mat = choi(ch).mat
-        in_bell = BELL_BASIS.conj().T @ mat @ BELL_BASIS
-        off = in_bell - np.diag(np.diag(in_bell))
-        assert np.max(np.abs(off)) < 1e-9
+def weyl_kraus(probs):
+    """Kraus stack sqrt(p_ab) X^a Z^b of the qudit Weyl channel, p a d x d table."""
+    d = len(probs)
+    x = np.roll(np.eye(d), 1, axis=0)                   # X|j> = |j + 1 mod d>
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))  # Z|j> = w^j |j>
+    return np.array([np.sqrt(probs[a, b]) * np.linalg.matrix_power(x, a)
+                     @ np.linalg.matrix_power(z, b) for a in range(d) for b in range(d)])
+
+
+def test_teleportation_covered():
+    grid = np.linspace(0.0, 1.0, 101)
+    covered = [choi(dephasing(0.3)), choi(depolarizing(0.6))]
+    for d in (1, 2, 3, 4):
+        covered.append(choi(channel_from_json({"type": "identity", "d": d})))
+        ops = [[[float(x), 0.0] for x in np.eye(d).ravel()]]
+        covered.append(choi(channel_from_json(
+            {"type": "kraus", "dim_in": d, "dim_out": d, "ops": ops})))
+    for seed in (0, 1, 2):
+        probs = np.random.default_rng(seed).dirichlet(np.ones(9)).reshape(3, 3)
+        covered.append(choi(KrausChannel(weyl_kraus(probs))))
+    for j in covered:
+        assert teleportation_covered(j), j.dims
+    for kind in ("dephasing", "depolarizing"):
+        flags = teleportation_covered(family_choi(kind, grid.reshape(1, -1)))
+        assert flags.shape == (1, 101) and flags.all(), kind
+    # amplitude damping is a Pauli channel only at r = 1, the identity
+    flags = teleportation_covered(family_choi("amplitude_damping", grid))
+    assert flags.tolist() == [False] * 100 + [True]
+    rng = np.random.default_rng(1)
+    for ch in (random_channel(3, 3, 2, rng), random_channel(3, 2, 2, rng)):
+        assert not teleportation_covered(choi(ch)), (ch.dim_in, ch.dim_out)
+    # the tolerance is CHOI_TOL on each off-diagonal Bell-basis entry
+    for eps, want in ((0.9 * CHOI_TOL, True), (1.1 * CHOI_TOL, False)):
+        off = eps * (np.outer(BELL_PLUS, BELL_MINUS) + np.outer(BELL_MINUS, BELL_PLUS))
+        assert teleportation_covered(choi(depolarizing(0.5)).mat + off) == want, eps
 
 
 def test_dephasing_limits():

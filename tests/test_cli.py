@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entcost import channels
+from entcost import channels, cost
 from entcost.cli import _emit_curve, _fmt_float, run, state_from_json
 from entcost.channels import SchemaError
 from entcost.cost import _CHUNK, dephasing_curves, ec1_qubit
@@ -255,23 +255,49 @@ def test_strong_converse_channel(capsys):
     assert code == 0 and json.loads(out)["simulation_error"] == "inf"
 
 
+def kraus_json(ops):
+    """The kraus wire format of a Kraus stack (k, dim_out, dim_in)."""
+    ops = np.asarray(ops, dtype=complex)
+    return json.dumps({"type": "kraus", "dim_in": ops.shape[2], "dim_out": ops.shape[1],
+                       "ops": [[[z.real, z.imag] for z in op.ravel()] for op in ops]})
+
+
 def test_strong_converse_rate_note(capsys):
     covered = "rate = ec1 + delta2 >= true entanglement cost + delta2"
     uncovered = ("rate = ec1 + delta2 is not shown to bound the true entanglement cost"
-                 " + delta2: E_C(N) <= E_F(J) for the Choi state J is not established"
-                 " for the declared channel type (coverage goes by type, so a Pauli"
-                 " channel given as kraus gets this note), and outside 2->2 a heuristic"
+                 " + delta2: E_C(N) <= E_F(J) holds for d->d channels whose Choi state J"
+                 " is diagonal in the generalized Bell basis, and outside 2->2 a heuristic"
                  " ec1 may also undershoot")
-    z, o = [0, 0], [1, 0]
+    # coverage is read off the Choi state, whatever wire format gives the channel
+    z = np.diag([1, -1])
+    x3, z3 = np.roll(np.eye(3), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    p = np.random.default_rng(7).dirichlet(np.ones(2))
+    weyl3 = [np.sqrt(p[0]) * np.eye(3), np.sqrt(p[1]) * x3 @ z3]
+    kraus_3to2 = kraus_json([[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]])
     for channel, note in (('{"type":"identity","d":2}', covered),
                           (DEPH, covered),
                           ('{"type":"depolarizing","r":0.3}', covered),
+                          ('{"type":"amplitude_damping","r":1}', covered),
                           ('{"type":"amplitude_damping","r":0.5}', uncovered),
-                          (json.dumps({"type": "kraus", "dim_in": 2, "dim_out": 2,
-                                       "ops": [[o, z, z, o]]}), uncovered)):
-        code, out, _ = invoke(capsys, "strong-converse", "--channel", channel, "--n", "5")
+                          (kraus_json([np.eye(2)]), covered),
+                          (kraus_json([np.sqrt(0.75) * np.eye(2), np.sqrt(0.25) * z]), covered),
+                          (kraus_json(weyl3), covered),
+                          (kraus_3to2, uncovered)):
+        code, out, _ = invoke(capsys, "strong-converse", "--channel", channel, "--n", "5",
+                              "--restarts", "1")
         assert code == 0
         assert json.loads(out)["rate_note"] == note, channel
+
+
+def test_strong_converse_checks_its_parameters_before_the_search(capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the ec1 search ran before the parameter check")
+
+    monkeypatch.setattr(cost, "ec1_general", search)
+    channel = kraus_json(channels.random_channel(3, 3, 2, np.random.default_rng(1)).kraus)
+    for argv in (("--delta1", "0.2", "--delta2", "0.2", "--n", "5"), ("--n", "0")):
+        code, out, err = invoke(capsys, "strong-converse", "--channel", channel, *argv)
+        assert (code, out) == (2, "") and err.startswith("error:"), argv
 
 
 def test_security_region_threshold_label(capsys):
@@ -418,7 +444,9 @@ def test_negative_seed_is_one_usage_error(capsys):
     # the seed is checked before any restart draws from it, so a lone
     # restart refuses it too
     for argv in (("eof", "--state", CC, "--numeric"),
-                 ("one-shot-cost", "--state", CC, "--eps", "0.1")):
+                 ("one-shot-cost", "--state", CC, "--eps", "0.1"),
+                 ("ec1", "--channel", DEPH),
+                 ("strong-converse", "--channel", DEPH, "--n", "5")):
         for restarts in ("1", "2"):
             code, out, err = invoke(capsys, *argv, "--restarts", restarts, "--seed", "-1")
             assert (code, out, err) == (2, "", "error: seed must be nonnegative, got -1\n"), \

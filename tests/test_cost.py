@@ -114,16 +114,21 @@ def test_security_threshold_floor():
 
 def test_security_region_families():
     grid = np.linspace(0.0, 1.0, 11)
-    cols = security_region("depolarizing", grid)
+    cols, proven = security_region("depolarizing", grid)
+    assert proven is True
     assert list(cols) == ["r", "ec1", "nu_max"]
     assert all(len(col) == 11 for col in cols.values())
     assert cols["nu_max"][0] == pytest.approx(0.5, abs=1e-9)
     assert cols["nu_max"][-1] == UNBOUNDED
-    cols = security_region("dephasing", grid)
+    cols, proven = security_region("dephasing", grid)
+    assert proven is True
     assert list(cols) == ["p", "ec1", "nu_max"]
     assert cols["nu_max"][5] == UNBOUNDED  # p = 0.5
     assert math.isfinite(cols["nu_max"][4])
-    cols = security_region("amplitude_damping", grid)
+    cols, proven = security_region("amplitude_damping", grid)
+    # teleportation covers amplitude damping only at r = 1, the identity
+    assert proven is False
+    assert security_region("amplitude_damping", [1.0])[1] is True
     assert cols["nu_max"][-1] == pytest.approx(0.5, abs=1e-9)
     assert cols["nu_max"][0] == UNBOUNDED  # r = 0 storage is useless
     with pytest.raises(ValueError):
@@ -136,7 +141,7 @@ def test_security_region_matches_per_point_path():
     grid = np.concatenate([np.linspace(0.0, 1.0, 61), [0.0, 0.5, 2 / 3, 1.0]])
     for family in QUBIT_FAMILIES:
         ctor = getattr(entcost.channels, family)
-        cols = security_region(family, grid)
+        cols, _ = security_region(family, grid)
         assert cols[QUBIT_FAMILIES[family][0]].tolist() == grid.tolist()
         for i, x in enumerate(grid):
             want = ec1_qubit(ctor(float(x)))
@@ -148,14 +153,14 @@ def test_security_region_matches_per_point_path():
 
 def test_security_region_exact_zero_rows():
     def ec1_at(family, xs):
-        return security_region(family, xs)["ec1"].tolist()
+        return security_region(family, xs)[0]["ec1"].tolist()
 
     assert ec1_at("dephasing", [0.5]) == [0.0]
     assert ec1_at("depolarizing", [2 / 3, 0.7, 0.9, 1.0]) == [0.0] * 4
     assert ec1_at("amplitude_damping", [0.0]) == [0.0]
     for family, x in (("dephasing", 0.5), ("depolarizing", 2 / 3),
                       ("amplitude_damping", 0.0)):
-        assert security_region(family, [x])["nu_max"][0] == UNBOUNDED
+        assert security_region(family, [x])[0]["nu_max"][0] == UNBOUNDED
 
 
 def test_security_region_rejects_parameters_outside_unit_interval():
@@ -206,9 +211,14 @@ def test_curves_across_a_chunk_seam():
                                     for p in grid.tolist()]
     assert cols["q_e"].tolist() == [1.0 - 0.5 * x for x in h]
     # and the security sweep of the whole grid is its two pieces swept apart
-    whole = security_region("depolarizing", grid)["ec1"]
-    apart = [security_region("depolarizing", g)["ec1"] for g in (grid[:_CHUNK], grid[_CHUNK:])]
+    whole = security_region("depolarizing", grid)[0]["ec1"]
+    apart = [security_region("depolarizing", g)[0]["ec1"] for g in (grid[:_CHUNK], grid[_CHUNK:])]
     assert whole.tolist() == np.concatenate(apart).tolist()
+    # the proof flag reads every piece: only r = 1, the identity, is covered,
+    # and an r = 0 in the second piece alone clears it
+    ones = np.ones(_CHUNK + 3)
+    assert security_region("amplitude_damping", ones)[1] is True
+    assert security_region("amplitude_damping", np.append(ones, 0.0))[1] is False
 
 
 def test_dephasing_curves_rejects_out_of_range():
