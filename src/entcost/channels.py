@@ -98,8 +98,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         len(ks), dout * anc, din, anc)
     out = np.tensordot(left, ks.conj(), axes=([0, 2], [0, 2]))   # [oa, b, p]
     return DensityMatrix((dout,) + rho.dims[1:],
-                         out.transpose(0, 2, 1).reshape(dout * anc, dout * anc),
-                         subnormalized=rho.subnormalized)
+                         out.transpose(0, 2, 1).reshape(dout * anc, dout * anc))
 
 
 def _choi_gram(ks: np.ndarray) -> np.ndarray:

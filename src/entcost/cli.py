@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Iterator
 
@@ -283,8 +284,20 @@ def _cmd_constants(args) -> str:
         {"log2_size": cost.epsnet_size(args.chi, args.eps, args.dimA, args.dimB)})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts like a negative number (``-1e-9``,
+    ``-.5``) as a value; argparse's own pattern (Python 3.11) takes only
+    ``-N`` and ``-N.N``.  ``_negative_number_matcher`` is a private attribute
+    of argparse; ``add_subparsers`` builds each subparser from ``type(self)``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entcost",
         description="Entanglement-cost calculators for small channels and states.")
     sub = parser.add_subparsers(dest="command", required=True)

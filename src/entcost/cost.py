@@ -87,7 +87,7 @@ def ec1_general(ch: KrausChannel, restarts: int = 6, seed: int = 0) -> Ec1Estima
 
     def value_at(psi):
         out = apply(ch, psi.to_density_matrix())
-        return eof_numeric(out, restarts=8, seed=seed, sweeps=3).value
+        return eof_numeric(out, restarts=8, seed=seed).value
 
     best_psi = max_entangled(ch.dim_in)
     best = value_at(best_psi)

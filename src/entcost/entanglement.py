@@ -213,8 +213,6 @@ class _EnsembleSearch:
         self.da, self.db = rho.dims
         w, v = herm_eig(rho.mat)
         self.rank = numerical_rank(w)
-        if self.rank == 0:
-            raise ValueError("a state of rank 0 has no decomposition to search")
         keep = np.clip(w[:self.rank], 0.0, None)
         self.base = (v[:, :self.rank] * np.sqrt(keep)).T  # (rank, D)
         if max_items is None:

@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    TRACE_TOL,
     DensityMatrix,
     ValidationError,
     numerical_rank,
@@ -75,8 +74,6 @@ def _entropy_from_eigs(evals: np.ndarray):
 
 def von_neumann(rho: DensityMatrix) -> float:
     """Entropy -tr[rho log rho] in bits of a normalized state."""
-    if rho.subnormalized and abs(rho.trace() - 1.0) > TRACE_TOL:
-        raise ValueError("von Neumann entropy expects a normalized state")
     return float(_entropy_from_eigs(np.linalg.eigvalsh(rho.mat)))
 
 

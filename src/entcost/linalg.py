@@ -12,7 +12,7 @@ asymptotic cleverness.  Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,12 +46,12 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def _check_density(mat: np.ndarray, subnormalized: bool = False) -> None:
+def _check_density(mat: np.ndarray) -> None:
     """The density-matrix contract on a matrix or a ``(..., n, n)`` stack.
 
     Every matrix must be finite, Hermitian to ``HERM_TOL``, PSD to
-    ``PSD_TOL`` and of trace 1 within ``TRACE_TOL`` (at most 1 when
-    ``subnormalized``); an error reports the worst value in the stack.
+    ``PSD_TOL`` and of trace 1 within ``TRACE_TOL``; an error reports the
+    worst value in the stack.
     """
     _check_finite(mat, "density matrix")
     if np.max(np.abs(mat - _dag(mat))) > HERM_TOL:
@@ -60,10 +60,7 @@ def _check_density(mat: np.ndarray, subnormalized: bool = False) -> None:
     if low < -PSD_TOL:
         raise ValidationError(f"density matrix has eigenvalue {low:.3e} < -{PSD_TOL}")
     tr = np.trace(mat, axis1=-2, axis2=-1).real
-    if subnormalized:
-        if tr.max() > 1.0 + TRACE_TOL:
-            raise ValidationError(f"subnormalized state has trace {float(tr.max())}")
-    elif np.abs(tr - 1.0).max() > TRACE_TOL:
+    if np.abs(tr - 1.0).max() > TRACE_TOL:
         worst = tr.flat[np.abs(tr - 1.0).argmax()]
         raise ValidationError(f"normalized state has trace {float(worst)}")
 
@@ -79,7 +76,9 @@ def _dims(dims: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class DensityMatrix:
-    """Hermitian PSD operator on a product of finite subsystems.
+    """Normalized state on a product of finite subsystems: a Hermitian PSD
+    operator of trace 1 within ``TRACE_TOL``.  Only classical tables
+    (``entropy.ClassicalJoint``) may sum below 1.
 
     Parameters
     ----------
@@ -87,14 +86,10 @@ class DensityMatrix:
         Subsystem dimensions, leftmost factor first.
     mat : array_like
         The operator, shape ``(prod(dims), prod(dims))``.
-    subnormalized : bool
-        When True the trace may be anywhere in (0, 1]; otherwise it must be
-        1 within ``TRACE_TOL``.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
-    subnormalized: bool = field(default=False)
 
     def __post_init__(self):
         dims = _dims(self.dims)
@@ -103,7 +98,7 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValidationError(
                 f"matrix shape {mat.shape} does not match dims {dims}")
-        _check_density(mat, self.subnormalized)
+        _check_density(mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
 
@@ -133,10 +128,6 @@ class PureState:
             raise ValidationError("state vector is not normalized to 1e-10")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "vec", vec)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
 
     def to_density_matrix(self) -> DensityMatrix:
         return DensityMatrix(self.dims, np.outer(self.vec, self.vec.conj()))
@@ -180,8 +171,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduce to the named subsystems; trace is preserved."""
     keep = _keep_indices(keep, len(rho.dims))
     out = partial_trace_mat(rho.mat, rho.dims, keep)
-    return DensityMatrix(tuple(rho.dims[k] for k in keep), out,
-                         subnormalized=rho.subnormalized)
+    return DensityMatrix(tuple(rho.dims[k] for k in keep), out)
 
 
 def partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], sys: int) -> np.ndarray:
@@ -209,10 +199,8 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if np.max(np.abs(h - _dag(h))) > EIG_HERM_TOL:
         raise ValidationError("matrix is not Hermitian to 1e-8")
-    w, v = np.linalg.eigh((h + _dag(h)) / 2.0)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    return (np.take_along_axis(w, order, -1),
-            np.take_along_axis(v, order[..., None, :], -1))
+    w, v = np.linalg.eigh((h + _dag(h)) / 2.0)   # ascending
+    return w[..., ::-1], v[..., ::-1]
 
 
 def numerical_rank(evals: np.ndarray) -> int:

@@ -357,6 +357,15 @@ def test_exit_codes(capsys, tmp_path):
     for tol in ("inf", "-1e-9"):
         code, out, err = invoke(capsys, "eof", "--state", CC, "--numeric", f"--tol={tol}")
         assert code == 2 and out == "" and f"tol {float(tol)} must be finite" in err
+    # a negative value in exponent notation reaches the command as a value
+    for argv, msg in ((("eof", "--state", CC, "--numeric", "--tol", "-1e-9"),
+                       "tol -1e-09 must be finite and nonnegative"),
+                      (("strong-converse", "--identity", "--rate", "-1e3", "--n", "3"),
+                       "the bound applies to rates >= 1"),
+                      (("one-shot-cost", "--state", CC, "--eps", "-1e-3"),
+                       "eps -0.001 outside [0, 1]")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and msg in err, argv
     # fewer than one restart is a usage error for every seeded search
     code, out, _ = invoke(capsys, "one-shot-cost", "--state", CC, "--eps", "0.1",
                           "--restarts", "-3")

@@ -23,6 +23,7 @@ from entcost.linalg import (
     RANK_RTOL,
     DensityMatrix,
     PureState,
+    ValidationError,
     haar_isometry,
     numerical_rank,
     random_density_matrix,
@@ -295,7 +296,7 @@ def test_eof_numeric_certifies_a_restart_at_its_rounding_floor(monkeypatch):
     monkeypatch.setattr(_EnsembleSearch, "eof_gradient", counted)
     for i, value in ((3, 0.38530025270864365), (4, 0.46215654907861103)):
         calls.clear()
-        res = eof_numeric(channel_output((31, 4000 + i)), restarts=8, seed=i, sweeps=3)
+        res = eof_numeric(channel_output((31, 4000 + i)), restarts=8, seed=i)
         assert res.converged, i
         assert len(calls) <= 30, (i, len(calls))
         assert abs(res.value - value) <= 1e-12, (i, res.value - value)
@@ -438,7 +439,7 @@ def test_eof_numeric_exact_on_lifted_qutrit_states():
         small = random_density_matrix((2, 2), 2, rng)
         lift = np.kron(haar_isometry(3, 2, rng), haar_isometry(3, 2, rng))
         rho = DensityMatrix((3, 3), lift @ small.mat @ lift.conj().T)
-        res = eof_numeric(rho, restarts=8, seed=i, sweeps=3)
+        res = eof_numeric(rho, restarts=8, seed=i)
         gap = res.value - eof_2q(small)
         assert -1e-9 <= gap <= 1e-9, (i, gap)
 
@@ -709,20 +710,19 @@ def test_array_holding_dataclasses_compare_by_identity():
 
 
 def test_support_floor_never_exceeds_the_reported_support():
-    # at both budgets, on both marginal orientations' smaller sides 2 and 3,
-    # and on a subnormalized state, whose largest budget covers its trace
+    # at both budgets, on both marginal orientations' smaller sides 2 and 3;
+    # a budget that covers the trace 1 floors the support at 0
     from entcost.entanglement import _support_floors
 
     rng = np.random.default_rng(43)
     states = [random_density_matrix(dims, rank, rng)
               for dims in ((2, 2), (2, 3), (3, 3), (2, 4)) for rank in (2, 4)]
-    states.append(DensityMatrix((2, 3), 0.7 * states[2].mat, subnormalized=True))
     for i, rho in enumerate(states):
         for eps in (0.0, 0.01, 0.05, 0.1, 0.5):
             b = one_shot_cost_bounds(rho, eps, restarts=3, seed=i)
             up, low = _support_floors(rho, (0.5 * eps, 2.0 * math.sqrt(eps)))
             assert up <= 2 ** b.upper and low <= 2 ** b.lower, (i, eps)
-    assert _support_floors(states[-1], (2.0 * math.sqrt(0.5),)) == [0]
+        assert _support_floors(rho, (2.0 * math.sqrt(0.5),)) == [0], i
 
 
 def test_support_floor_exact_on_maximally_entangled_and_product_states():
@@ -801,9 +801,9 @@ def test_one_shot_eps_range():
         one_shot_cost_bounds(bell_dm(), -0.1)
     with pytest.raises(ValueError):
         one_shot_cost_bounds(bell_dm(), 1.5)
-    zero = DensityMatrix((2, 2), np.zeros((4, 4)), subnormalized=True)
-    with pytest.raises(ValueError, match="rank 0"):
-        one_shot_cost_bounds(zero, 0.1)
+    # a zero matrix is no state: it is refused before any search
+    with pytest.raises(ValidationError, match="trace 0.0"):
+        DensityMatrix((2, 2), np.zeros((4, 4)))
 
 
 def smooth_score_reference(sq, delta):

@@ -76,7 +76,7 @@ def smooth_h0_cond_cq(rows, dims, eps):
     """The reported smooth conditional max-entropy of the ensemble of ``rows``
     (k, D), each row a branch of weight ``|row|^2``."""
     rows = np.asarray(rows, dtype=complex)
-    rho = DensityMatrix(dims, rows.T @ rows.conj(), subnormalized=True)
+    rho = DensityMatrix(dims, rows.T @ rows.conj())
     return _EnsembleSearch(rho, None).smooth_value(rows[None], eps)[0]
 
 

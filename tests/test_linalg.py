@@ -118,6 +118,18 @@ def test_herm_eig_reconstruction():
         assert np.all(np.diff(w) <= 1e-12)
 
 
+def test_herm_eig_reverses_eigh_on_exact_ties():
+    # the descending order is eigh's ascending one reversed, tied columns
+    # included: _EnsembleSearch.base takes its rows in this order
+    swap = np.eye(9).reshape(3, 3, 3, 3).transpose(0, 1, 3, 2).reshape(9, 9)
+    werner = (3.0 * np.eye(9) - swap) / 24.0     # spectrum 1/12 (x6), 1/6 (x3)
+    for h in (np.eye(4) / 4, werner, np.stack([np.eye(4) / 4, np.diag([0.5, 0.5, 0, 0])])):
+        w, v = herm_eig(h)
+        w_up, v_up = np.linalg.eigh(np.asarray(h, dtype=complex))
+        np.testing.assert_array_equal(w, w_up[..., ::-1])
+        np.testing.assert_array_equal(v, v_up[..., ::-1])
+
+
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -219,8 +231,6 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # not PSD
     with pytest.raises(ValidationError):
         DensityMatrix((2,), np.diag([0.4, 0.4]))  # trace off
-    sub = DensityMatrix((2,), np.diag([0.4, 0.4]), subnormalized=True)
-    assert sub.trace() == pytest.approx(0.8)
     with pytest.raises(ValidationError):
         DensityMatrix((2, 2), np.eye(2) / 2)  # dims mismatch
 
