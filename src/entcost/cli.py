@@ -137,12 +137,11 @@ def _cmd_eof(args) -> str:
     rho = parse_state(args.state)
     if rho.dims == (2, 2) and not args.numeric:
         return _emit_json({"eof": eof_2q(rho), "method": "concurrence_closed_form"})
-    res = eof_numeric(rho, max_items=args.max_items, restarts=args.restarts,
-                      seed=args.seed, tol=args.tol)
+    res = eof_numeric(rho, restarts=args.restarts, seed=args.seed)
     return _emit_json({
         "eof": res.value,
         "method": "decomposition_search",
-        "restarts_used": res.restarts_used,
+        "restarts_used": args.restarts,
         "converged": res.converged,
         "decomposition": _decomposition_json(res.decomposition, res.value),
     })
@@ -258,8 +257,7 @@ def _cmd_smooth_h0(args) -> str:
 
 def _cmd_one_shot_cost(args) -> str:
     rho = parse_state(args.state)
-    bounds = one_shot_cost_bounds(rho, args.eps, max_items=args.max_items,
-                                  restarts=args.restarts, seed=args.seed)
+    bounds = one_shot_cost_bounds(rho, args.eps, restarts=args.restarts, seed=args.seed)
     return _emit_json({
         "eps": args.eps,
         "lower_heuristic": bounds.lower,
@@ -320,10 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="density matrix JSON")
     p.add_argument("--numeric", action="store_true",
                    help="force the decomposition search even on two qubits")
-    p.add_argument("--max-items", type=int, default=None,
-                   help="decomposition size (default min(rank^2, 2 rank))")
-    p.add_argument("--tol", type=_float_arg, default=1e-9,
-                   help="'converged' also when two restarts end this close to the best")
     add_seeded(p, 20)
     p.set_defaults(func=_cmd_eof)
 
@@ -383,8 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="one-shot dilution-cost bounds for a bipartite state")
     p.add_argument("--state", required=True, help="density matrix JSON")
     p.add_argument("--eps", type=_float_arg, required=True, help="dilution error in [0, 1]")
-    p.add_argument("--max-items", type=int, default=None,
-                   help="decomposition size (default min(rank^2, 2 rank))")
     add_seeded(p, 8)
     p.set_defaults(func=_cmd_one_shot_cost)
 

@@ -207,7 +207,7 @@ def identity_error_bound(rate: float, n: int) -> float:
     classical communication assistance.  With no uses the floor is 1 - 2^0 = 0
     at every rate, including R = inf (where ``n * (R - 1)`` would be NaN).
     """
-    if rate < 1.0:
+    if not rate >= 1.0:
         raise ValueError("the bound applies to rates >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -224,7 +224,7 @@ def simulation_error(n: int, delta1: float, dim_a: int, dim_b: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if delta1 < 0.0:
+    if not delta1 >= 0.0:
         raise ValueError("delta1 must be nonnegative")
     if dim_a < 1 or dim_b < 1:
         raise ValueError("dimensions must be positive")
@@ -241,7 +241,7 @@ def strong_converse_error_bound(p: ConverseParams, ec: float) -> float:
     ``1 - (n+1)^(|A|^2-1) 2^(-n d1^2 / (8 log2(|B|+3)^2)) - 2^(-n (d2-d1)/(ec+d1) - 1)``.
     May be negative (vacuous) at small n; the value is never clamped here.
     """
-    if ec < 0.0:
+    if not ec >= 0.0:
         raise ValueError("ec must be nonnegative")
     alpha = simulation_error(p.n, p.delta1, p.dim_in, p.dim_out)
     exponent = -p.n * (p.delta2 - p.delta1) / (ec + p.delta1) - 1.0
@@ -270,6 +270,6 @@ def epsnet_size(chi: int, eps: float, dim_a: int, dim_b: int) -> float:
     """
     if chi < 1 or dim_a < 1 or dim_b < 1:
         raise ValueError("need chi >= 1 and positive dimensions")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     return 2.0 * chi * dim_a * dim_b * math.log2(2.0 * math.sqrt(dim_b) / eps + 1.0)

@@ -159,7 +159,6 @@ class EofResult:
 
     value: float
     decomposition: Decomposition
-    restarts_used: int
     converged: bool
 
     def __post_init__(self):
@@ -184,6 +183,7 @@ class OneShotCostBounds:
 
 _SMOOTH_STEPS = 200  # gradient steps per smoothing budget in one_shot_cost_bounds
 _STATIONARY = 1e-16  # squared gradient norm at which a restart is stationary
+_AGREE = 1e-9  # restart values this close to the best agree with it (eof_numeric)
 _ETA = 0.85  # weight of the history in _descend's nonmonotone reference (Zhang-Hager)
 
 
@@ -195,7 +195,8 @@ class _EnsembleSearch:
     """Shared machinery: decompositions of fixed size as isometry mixings.
 
     Every size-m decomposition of rho has unnormalized branch vectors
-    ``rows = W @ base`` for an m x r isometry W, ``base_j = sqrt(l_j) e_j``.
+    ``rows = W @ base`` for an m x r isometry W, ``base_j = sqrt(l_j) e_j``;
+    the search takes ``m = min(r^2, 2 r)`` for rank r.
     Both objectives are spectral sums of the branch marginals, so one
     gradient engine serves them: :func:`_descend` steps stacked restarts of W
     together, with the gradient of the average entropy
@@ -203,7 +204,7 @@ class _EnsembleSearch:
     (:meth:`smooth_gradient`).
     """
 
-    def __init__(self, rho: DensityMatrix, max_items: int | None):
+    def __init__(self, rho: DensityMatrix):
         if len(rho.dims) != 2:
             raise ValueError(f"expected a bipartite state, got dims {rho.dims}")
         if rho.dim > MAX_SEARCH_DIM:
@@ -215,12 +216,7 @@ class _EnsembleSearch:
         self.rank = numerical_rank(w)
         keep = np.clip(w[:self.rank], 0.0, None)
         self.base = (v[:, :self.rank] * np.sqrt(keep)).T  # (rank, D)
-        if max_items is None:
-            max_items = min(self.rank * self.rank, 2 * self.rank)
-        if not self.rank <= max_items <= self.rank * self.rank:
-            raise ValueError(
-                f"max_items must lie in [{self.rank}, {self.rank * self.rank}]")
-        self.m = int(max_items)
+        self.m = min(self.rank * self.rank, 2 * self.rank)
 
     def start(self, restarts: int, seed: int, stream: int = 0) -> np.ndarray:
         """Mixings (restarts, m, rank): restart 0 is the spectral ensemble
@@ -424,35 +420,33 @@ def _support_floors(rho: DensityMatrix, deltas) -> list[int]:
     return floors
 
 
-def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
-                restarts: int = 20, seed: int = 0, tol: float = 1e-9,
+def eof_numeric(rho: DensityMatrix, *, restarts: int = 20, seed: int = 0,
                 sweeps: int = 3) -> EofResult:
     """Upper bound on the entanglement of formation by decomposition search.
 
     Seeded random-restart Riemannian gradient descent on the mixing
     isometry W of the spectral ensemble (Audenaert, Verstraete and De Moor,
-    PRA 64, 052304 (2001)).  All ``restarts`` are screened together for
-    ``10 * sweeps`` gradient steps; unless the screen ends certified, the
-    best three (stable sort) are then polished together (at most 1000
-    steps).  Both phases stop on the certificate :func:`_certified`: the
-    best restart has a gradient norm below 1e-8 and has taken an accepted
-    step or sits at value 0, the floor of E_F.  A start of zero gradient,
-    such as the spectral ensemble of a degenerate spectrum, may be a saddle,
-    so it does not certify.  Every evaluated decomposition is feasible and
+    PRA 64, 052304 (2001)), over decompositions of ``min(r^2, 2 r)`` items
+    for rank r.  All ``restarts`` are screened together for ``10 * sweeps``
+    gradient steps; unless the screen ends certified, the best three
+    (stable sort) are then polished together (at most 1000 steps).  Both
+    phases stop on the certificate :func:`_certified`: the best restart
+    has a gradient norm below 1e-8 and has taken an accepted step or sits
+    at value 0, the floor of E_F.  A start of zero gradient, such as the
+    spectral ensemble of a degenerate spectrum, may be a saddle, so it does
+    not certify.  Every evaluated decomposition is feasible and
     :func:`_descend`'s nonmonotone test keeps no value above the start, so
     the result never exceeds the start nor undershoots the true infimum.
     ``converged`` means the certificate holds at the end, or the state has
     rank 1 (its decomposition is unique), or at least two restarts end
-    within ``tol`` (finite, nonnegative) of the best value.  Restart streams
+    within 1e-9 (``_AGREE``) of the best value.  Restart streams
     (seed, restart index) make it deterministic for a fixed nonnegative ``seed``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol {tol} must be finite and nonnegative")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    search = _EnsembleSearch(rho, max_items)
+    search = _EnsembleSearch(rho)
     vals, w, gg, moved = _descend(search.start(restarts, seed), 10 * sweeps,
                                   search.eof_gradient, _certified)
     if not _certified(vals, gg, moved):
@@ -463,19 +457,19 @@ def eof_numeric(rho: DensityMatrix, max_items: int | None = None,
     decomp = search.decomposition(w[best] @ search.base)
     value = eof_cq_conditional(decomp)
     converged = bool(_certified(vals, gg, moved) or search.rank == 1  # one decomposition
-                     or np.count_nonzero(vals <= vals[best] + tol) >= 2)
-    return EofResult(value, decomp, restarts, converged)
+                     or np.count_nonzero(vals <= vals[best] + _AGREE) >= 2)
+    return EofResult(value, decomp, converged)
 
 
-def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
-                         max_items: int | None = None, restarts: int = 8,
+def one_shot_cost_bounds(rho: DensityMatrix, eps: float, *, restarts: int = 8,
                          seed: int = 0) -> OneShotCostBounds:
     """Bounds on the one-shot dilution cost of ``rho`` at error ``eps``.
 
-    Searches decompositions minimizing the exact smooth conditional
-    max-entropy of the branch ensemble at two L1 budgets on the branch
-    spectra: ``eps/2`` for the achievable (upper) side and ``2 sqrt(eps)``
-    for the converse (lower) side; the metric of ``eps`` itself is open.
+    Searches decompositions of ``min(r^2, 2 r)`` items (rank r) minimizing
+    the exact smooth conditional max-entropy of the branch ensemble at two
+    L1 budgets on the branch spectra: ``eps/2`` for the achievable (upper)
+    side and ``2 sqrt(eps)`` for the converse (lower) side; the metric of
+    ``eps`` itself is open.
     ``restarts`` restarts per budget (streams 0 and 1) run as one batch,
     each at its own budget, through at most ``_SMOOTH_STEPS`` gradient
     steps of :func:`_descend`, scored by (support, excess) with the excess
@@ -505,7 +499,7 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float,
         raise ValueError(f"eps {eps} outside [0, 1]")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    search = _EnsembleSearch(rho, max_items)
+    search = _EnsembleSearch(rho)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)
     w = np.concatenate([search.start(restarts, seed, stream) for stream in (0, 1)])

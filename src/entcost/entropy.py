@@ -167,8 +167,8 @@ def aep_check(p: ClassicalJoint, eps: float, n: int) -> AepCheck:
     against ``H(X|Y) + log2(nx + 3) * sqrt(log2(1/eps^2)) / sqrt(n)``.
     The inequality is a theorem; a failure indicates a bug.
     """
-    if eps <= 0.0:
-        raise ValueError("aep_check needs eps > 0")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"aep_check needs eps in (0, 1], got {eps}")
     if abs(p.total() - 1.0) > 1e-9:
         raise ValueError("aep_check expects a normalized table")
     if n * math.log2(p.nx * p.ny) > math.log2(MAX_TABLE_CELLS) + 1e-9:

@@ -65,11 +65,15 @@ def _check_density(mat: np.ndarray) -> None:
         raise ValidationError(f"normalized state has trace {float(worst)}")
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer, never a float or a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _dims(dims: Iterable[int]) -> tuple[int, ...]:
-    """Subsystem dimensions: Python or numpy integers >= 1, never a float or a bool."""
+    """Subsystem dimensions: integers >= 1 (:func:`_is_int`)."""
     dims = tuple(dims)
-    if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                           and d >= 1 for d in dims):
+    if not dims or not all(_is_int(d) and d >= 1 for d in dims):
         raise ValidationError(f"invalid subsystem dimensions {dims}")
     return tuple(int(d) for d in dims)
 
@@ -134,8 +138,11 @@ class PureState:
 
 
 def _keep_indices(keep, n: int) -> tuple[int, ...]:
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
+    """Sorted subsystem indices in [0, n) from one index or a sequence of
+    them, each an integer (:func:`_is_int`)."""
+    keep = tuple(keep) if isinstance(keep, Iterable) else (keep,)
+    if not all(map(_is_int, keep)):
+        raise ValueError(f"subsystem indices {keep} must be integers")
     keep = tuple(int(k) for k in keep)
     if not keep:
         raise ValueError("keep must name at least one subsystem")

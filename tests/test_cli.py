@@ -351,16 +351,14 @@ def test_exit_codes(capsys, tmp_path):
     code, out, _ = invoke(capsys, "constants", "--epsnet", "--chi", "1", "--eps", "nan",
                           "--dimA", "2", "--dimB", "2")
     assert code == 2 and out == ""
-    code, out, _ = invoke(capsys, "eof", "--state", CC, "--numeric", "--tol", "nan")
-    assert code == 2 and out == ""
-    # an infinite or negative tolerance would label any search converged
-    for tol in ("inf", "-1e-9"):
-        code, out, err = invoke(capsys, "eof", "--state", CC, "--numeric", f"--tol={tol}")
-        assert code == 2 and out == "" and f"tol {float(tol)} must be finite" in err
+    # the decomposition size and the agreement tolerance are not options
+    for argv in (("eof", "--state", CC, "--max-items", "4"),
+                 ("eof", "--state", CC, "--numeric", "--tol", "1e-9"),
+                 ("one-shot-cost", "--state", CC, "--eps", "0.1", "--max-items", "4")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
     # a negative value in exponent notation reaches the command as a value
-    for argv, msg in ((("eof", "--state", CC, "--numeric", "--tol", "-1e-9"),
-                       "tol -1e-09 must be finite and nonnegative"),
-                      (("strong-converse", "--identity", "--rate", "-1e3", "--n", "3"),
+    for argv, msg in ((("strong-converse", "--identity", "--rate", "-1e3", "--n", "3"),
                        "the bound applies to rates >= 1"),
                       (("one-shot-cost", "--state", CC, "--eps", "-1e-3"),
                        "eps -0.001 outside [0, 1]")):

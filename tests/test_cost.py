@@ -231,8 +231,9 @@ def test_identity_error_bound():
     assert identity_error_bound(1.0, 7) == 0.0
     vals = [identity_error_bound(1.5, n) for n in (1, 5, 20, 100)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        identity_error_bound(0.9, 4)
+    for rate in (0.9, math.nan):
+        with pytest.raises(ValueError):
+            identity_error_bound(rate, 4)
 
 
 def test_identity_error_bound_no_uses():
@@ -247,6 +248,8 @@ def test_simulation_error_value():
     assert simulation_error(1, 1.0, 2, 2) == pytest.approx(want, rel=1e-12)
     # at delta1 = 0 the decay term disappears
     assert simulation_error(3, 0.0, 2, 2) == pytest.approx(64.0)
+    with pytest.raises(ValueError, match="delta1"):
+        simulation_error(10, math.nan, 2, 2)
 
 
 def test_simulation_error_scan_reaches_small_values():
@@ -282,8 +285,9 @@ def test_converse_params_validation():
     with pytest.raises(ValueError):
         ConverseParams(delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=0)
     p = ConverseParams(delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
-    with pytest.raises(ValueError):
-        strong_converse_error_bound(p, -0.5)
+    for ec in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            strong_converse_error_bound(p, ec)
 
 
 def test_postselection_factor():
@@ -300,8 +304,9 @@ def test_definetti_count():
 def test_epsnet_size():
     assert epsnet_size(1, 1.0, 1, 1) == pytest.approx(math.log2(9.0))
     assert epsnet_size(2, 0.5, 2, 2) == pytest.approx(2 * epsnet_size(1, 0.5, 2, 2))
-    with pytest.raises(ValueError):
-        epsnet_size(1, 0.0, 2, 2)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            epsnet_size(1, eps, 2, 2)
 
 
 def test_simulation_error_monotone_on_decade_grid():

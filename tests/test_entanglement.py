@@ -207,7 +207,6 @@ def test_eof_numeric_pure_state(monkeypatch):
     psi = random_pure_state((2, 2), rng)
     res = eof_numeric(psi.to_density_matrix(), restarts=3, seed=0)
     assert res.value == pytest.approx(eof_pure(psi), abs=1e-9)
-    assert res.restarts_used == 3
     assert res.converged  # every restart ends at the single decomposition
     # a rank-1 state has a single decomposition, so a lone restart is stationary
     assert eof_numeric(psi.to_density_matrix(), restarts=1, seed=0).converged
@@ -271,7 +270,7 @@ def test_descend_ends_a_restart_whose_kept_step_leaves_it_unchanged():
     # test_descend_guards_a_kept_step_of_length_zero reaches
     from entcost.entanglement import _descend, _EnsembleSearch
 
-    search = _EnsembleSearch(channel_output((5, 4012)), None)
+    search = _EnsembleSearch(channel_output((5, 4012)))
     vals, w = _descend(search.start(8, 12), 30, search.eof_gradient, never)[:2]
     top = np.argsort(vals, kind="stable")[:3]
     with warnings.catch_warnings():
@@ -308,7 +307,7 @@ def test_descend_keeps_every_restart_an_isometry():
     # Newton-Schulz step brings every restart to a few ulp (at most 7e-16)
     from entcost.entanglement import _descend, _EnsembleSearch
 
-    search = _EnsembleSearch(werner(4, -0.9), None)
+    search = _EnsembleSearch(werner(4, -0.9))
     for seed in (1, 2):
         w = _descend(search.start(8, seed), 100, search.eof_gradient, never)[1]
         err = np.abs(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(w.shape[-1])).max(axis=(1, 2))
@@ -321,7 +320,7 @@ def test_start_streams_are_one_haar_isometry_per_restart():
     from entcost.entanglement import _EnsembleSearch
 
     for dims, rank in (((2, 2), 4), ((2, 3), 2), ((3, 3), 5)):
-        search = _EnsembleSearch(random_density_matrix(dims, rank, np.random.default_rng(9)), None)
+        search = _EnsembleSearch(random_density_matrix(dims, rank, np.random.default_rng(9)))
         for seed, stream in ((0, 0), (7, 1)):
             w = search.start(5, seed, stream)
             np.testing.assert_array_equal(w[0], np.eye(search.m, search.rank))
@@ -336,7 +335,7 @@ def test_descend_stop_that_holds_at_the_start_takes_no_step():
     # before the first step; holding there, it costs one objective call
     from entcost.entanglement import _descend, _EnsembleSearch, _inner
 
-    search = _EnsembleSearch(random_density_matrix((2, 3), 3, np.random.default_rng(71)), None)
+    search = _EnsembleSearch(random_density_matrix((2, 3), 3, np.random.default_rng(71)))
     start = search.start(5, 2)
     vals0, grad0 = search.eof_gradient(start)
     calls, seen = [], []
@@ -366,7 +365,7 @@ def test_descend_marks_exactly_the_moved_and_the_zero_restarts():
     from entcost.entanglement import _descend, _EnsembleSearch
 
     for rho, zero_start in ((werner(3, -0.5), False), (cc_state(), True)):
-        search = _EnsembleSearch(rho, None)
+        search = _EnsembleSearch(rho)
         start = search.start(6, 3)
         vals0 = search.eof_gradient(start)[0]
         vals, w, gg, moved = _descend(start.copy(), 5, search.eof_gradient, never)
@@ -388,15 +387,6 @@ def test_negative_seed_is_refused_at_every_restart_count():
                      lambda: ec1_general(channel, restarts=restarts, seed=-1)):
             with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
                 call()
-
-
-def test_eof_numeric_refuses_a_negative_or_infinite_tol():
-    # at tol = inf any two restarts agree, so this uncertified search
-    # (converged False at the default tol) would read converged
-    rho = random_density_matrix((3, 3), 9, np.random.default_rng((70, 0)))
-    for tol in (math.inf, -1e-9):
-        with pytest.raises(ValueError, match="tol"):
-            eof_numeric(rho, restarts=2, seed=1, tol=tol)
 
 
 def test_eof_numeric_separable_mixture():
@@ -505,13 +495,14 @@ def test_eof_numeric_range_checks():
     rng = np.random.default_rng(19)
     rho = random_density_matrix((2, 2), 2, rng)
     with pytest.raises(ValueError):
-        eof_numeric(rho, max_items=1)  # below rank
-    with pytest.raises(ValueError):
-        eof_numeric(rho, max_items=5)  # above rank squared
-    with pytest.raises(ValueError):
         eof_numeric(random_density_matrix((7, 7), 2, rng))  # dimension cap
     with pytest.raises(ValueError):
         eof_numeric(rho, sweeps=0)
+    # the options are keyword-only: an old positional max_items fails
+    with pytest.raises(TypeError):
+        eof_numeric(rho, 4)
+    with pytest.raises(TypeError):
+        one_shot_cost_bounds(rho, 0.1, 4)
 
 
 def test_eof_numeric_decomposition_consistency():
@@ -569,7 +560,7 @@ def test_one_shot_batch_equals_per_budget_search():
     for dims in ((2, 3), (3, 3)):
         rho = random_density_matrix(dims, 3, rng)
         for eps in (0.01, 0.1):
-            search = _EnsembleSearch(rho, None)
+            search = _EnsembleSearch(rho)
             deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
             alone = np.concatenate([
                 _descend(search.start(8, 5, stream), _SMOOTH_STEPS,
@@ -606,7 +597,7 @@ def test_one_shot_stops_at_the_support_floor(monkeypatch):
 
     for key, eps, seed, budget in ((40, 0.01, 0, 10), ((61, 1), 0.0, 1, 100)):
         rho = random_density_matrix((3, 3), 3, np.random.default_rng(key))
-        search = _EnsembleSearch(rho, None)
+        search = _EnsembleSearch(rho)
         rows = one_shot_batch(search, eps, 8, seed) @ search.base
         deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
         full = [min(search.smooth_value(rows, d)) for d in deltas]
@@ -637,7 +628,7 @@ def test_one_shot_stop_keeps_the_bounds_of_the_full_batch():
              ((2, 3), 2, 0.2, 2, (63, 110), 110), ((2, 3), 2, 0.2, 2, (63, 376), 376)]
     for dims, rank, eps, restarts, key, seed in cases:
         rho = random_density_matrix(dims, rank, np.random.default_rng(key))
-        search = _EnsembleSearch(rho, None)
+        search = _EnsembleSearch(rho)
         rows = one_shot_batch(search, eps, restarts, seed) @ search.base
         full = tuple(min(search.smooth_value(rows, d)) for d in (2.0 * math.sqrt(eps), 0.5 * eps))
         b = one_shot_cost_bounds(rho, eps, restarts=restarts, seed=seed)
@@ -653,7 +644,7 @@ def test_one_shot_stops_once_every_restart_is_spent(monkeypatch):
     rho = random_density_matrix((3, 3), 3, np.random.default_rng((67, 10)))
     eps = 0.05
     deltas = (0.5 * eps, 2.0 * math.sqrt(eps))
-    search = _EnsembleSearch(rho, None)
+    search = _EnsembleSearch(rho)
     rows = one_shot_batch(search, eps, 8, 0) @ search.base
     full = [min(search.smooth_value(rows, d)) for d in deltas]
     assert _support_floors(rho, deltas) == [1, 1] and 2 ** full[0] == 2
@@ -767,7 +758,7 @@ def test_one_shot_upper_monotone_for_fixed_witness():
     rho = random_density_matrix((2, 2), 3, rng)
     b = one_shot_cost_bounds(rho, 0.1, restarts=4, seed=0)
     rows = np.array([[math.sqrt(p) * psi.vec for p, psi in b.witness.items]])
-    search = _EnsembleSearch(rho, None)
+    search = _EnsembleSearch(rho)
     vals = [search.smooth_value(rows, e)[0] for e in (0.0, 0.05, 0.1, 0.3, 0.6)]
     assert vals[1] == b.upper  # the upper bound smooths at eps / 2
     assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
@@ -870,7 +861,7 @@ def test_eof_gradient_matches_finite_differences():
     for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
         rng = np.random.default_rng(41)
         rho = random_density_matrix(dims, 3, rng)
-        s = _EnsembleSearch(rho, None)
+        s = _EnsembleSearch(rho)
         w = s.start(4, 3)[1:]  # three Haar mixings
         check_gradient(s, w, s.eof_gradient,
                        functools.partial(average_entropy, dims=dims), 1e-12, rng)
@@ -886,7 +877,7 @@ def test_smooth_gradient_matches_finite_differences():
     for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
         rng = np.random.default_rng(41)
         rho = random_density_matrix(dims, 3, rng)
-        s = _EnsembleSearch(rho, None)
+        s = _EnsembleSearch(rho)
         w = s.start(4, 3)[1:]  # three Haar mixings
         for delta in (0.0, 0.05, 0.15):
             vals = check_gradient(s, w, functools.partial(s.smooth_gradient, delta=delta),
@@ -898,7 +889,7 @@ def test_smooth_gradient_matches_finite_differences():
     # The search and smooth_value share the rank rule: a Schmidt weight of
     # 1e-12 is rank noise to both, so the scored support is the reported one
     vec = np.array([math.sqrt(1 - 1e-12), 0, 0, math.sqrt(1e-12)], dtype=complex)
-    s = _EnsembleSearch(PureState((2, 2), vec).to_density_matrix(), None)
+    s = _EnsembleSearch(PureState((2, 2), vec).to_density_matrix())
     w = s.start(1, 0)
     sq = np.linalg.svd((w[0] @ s.base).reshape(-1, 2, 2), compute_uv=False) ** 2
     assert smooth_score_reference(sq, 0.0) == (1, pytest.approx(1.0 - 1e-12, abs=1e-14))

@@ -77,7 +77,7 @@ def smooth_h0_cond_cq(rows, dims, eps):
     (k, D), each row a branch of weight ``|row|^2``."""
     rows = np.asarray(rows, dtype=complex)
     rho = DensityMatrix(dims, rows.T @ rows.conj())
-    return _EnsembleSearch(rho, None).smooth_value(rows[None], eps)[0]
+    return _EnsembleSearch(rho).smooth_value(rows[None], eps)[0]
 
 
 def h0_cond_cq(branches):
@@ -281,7 +281,7 @@ def test_h0_dominates_conditional_entropy_on_cq_states():
     for dims in ((2, 2), (2, 3), (3, 3)):
         for _ in range(4):
             rho = random_density_matrix(dims, int(rng.integers(1, dims[0] * dims[1] + 1)), rng)
-            search = _EnsembleSearch(rho, None)
+            search = _EnsembleSearch(rho)
             rows = search.start(4, int(rng.integers(100))) @ search.base
             for i, h in enumerate(search.smooth_value(rows, 0.0)):
                 assert h >= eof_cq_conditional(search.decomposition(rows[i])) - 1e-9
@@ -335,6 +335,11 @@ def test_aep_table_size_guard():
     table = ClassicalJoint(np.full((3, 2), 1 / 6))
     with pytest.raises(ValueError):
         aep_check(table, 0.1, 9)
+    # eps outside (0, 1] would leave the sqrt(log2(1/eps^2)) term undefined
+    for eps in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"eps in \(0, 1\]"):
+            aep_check(table, eps, 2)
+    assert aep_check(table, 1.0, 2).holds
 
 
 def test_product_table():

@@ -84,6 +84,10 @@ def test_partial_trace_bad_index():
         partial_trace(bell_dm(), keep=2)
     with pytest.raises(ValueError):
         partial_trace(bell_dm(), keep=())
+    # indices follow the rule of dimensions: never truncated floats or bools
+    for keep in ([1.9], [0.2], True, [False]):
+        with pytest.raises(ValueError, match="must be integers"):
+            partial_trace(bell_dm(), keep=keep)
 
 
 def test_herm_eig_diagonal():
@@ -168,7 +172,7 @@ def test_schmidt_uses_package_rank_rule():
     # 1e-14 do not
     for weight, want in ((1e-8, 1.0), (1e-10, 0.0), (1e-14, 0.0)):
         psi = PureState((2, 2), [np.sqrt(1 - weight), 0, 0, np.sqrt(weight)])
-        search = _EnsembleSearch(psi.to_density_matrix(), None)
+        search = _EnsembleSearch(psi.to_density_matrix())
         assert search.smooth_value(psi.vec[None, None], 0.0) == [want], weight
 
 
