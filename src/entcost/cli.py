@@ -208,6 +208,9 @@ def _cmd_strong_converse(args) -> str:
             "n": args.n,
             "error_lower_bound": cost.identity_error_bound(args.rate, args.n),
         })
+    if args.rate is not None:
+        raise SchemaError("--rate applies to --identity mode only; "
+                          "--channel mode codes at rate ec1 + delta2")
     ch = parse_channel(args.channel)
     params = cost.ConverseParams(delta1=args.delta1, delta2=args.delta2,
                                  dim_in=ch.dim_in, dim_out=ch.dim_out, n=args.n)
@@ -277,7 +280,7 @@ def _cmd_constants(args) -> str:
         return _emit_json(
             {"log2_count": cost.definetti_count_log2(args.n, args.dimA, args.dimR)})
     if args.chi is None or args.eps is None or args.dimB is None:
-        raise SchemaError("--epsnet needs --chi, --eps, --dimA and --dimB")
+        raise SchemaError("--epsnet needs --chi, --eps and --dimB")
     return _emit_json(
         {"log2_size": cost.epsnet_size(args.chi, args.eps, args.dimA, args.dimB)})
 

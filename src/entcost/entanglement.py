@@ -16,7 +16,7 @@ and a heuristic lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     PureState,
     _dag,
     _haar_isometries,
+    _ruled,
     herm_eig,
     numerical_rank,
     partial_transpose_mat,
@@ -98,12 +99,6 @@ def _schmidt_sq(vecs: np.ndarray, da: int, db: int) -> np.ndarray:
     return np.linalg.svd(vecs.reshape(vecs.shape[:-1] + (da, db)), compute_uv=False) ** 2
 
 
-def _ruled(sq: np.ndarray) -> np.ndarray:
-    """Schmidt weights (..., n) with each one up to ``RANK_RTOL`` of its branch
-    weight set to 0: the package's rank rule on branch spectra."""
-    return np.where(sq > RANK_RTOL * sq.sum(axis=-1, keepdims=True), sq, 0.0)
-
-
 def eof_pure(psi: PureState) -> float:
     """Entanglement of formation of a pure state: its marginal entropy."""
     if len(psi.dims) != 2:
@@ -114,7 +109,9 @@ def eof_pure(psi: PureState) -> float:
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class Decomposition:
-    """Weighted pure-state ensemble realizing a mixed bipartite target."""
+    """Weighted pure-state ensemble realizing a mixed bipartite target, of
+    any number of items (E_F is an infimum over every size); only
+    feasibility is checked."""
 
     items: tuple[tuple[float, PureState], ...]
     target: DensityMatrix
@@ -132,10 +129,6 @@ class Decomposition:
             items.append((p, psi))
         if not items:
             raise ValueError("a decomposition needs at least one item")
-        rank = numerical_rank(np.linalg.eigvalsh(self.target.mat))
-        if len(items) > rank * rank:
-            raise ValueError(
-                f"{len(items)} items exceed the rank-squared cap {rank * rank}")
         if 0.5 * trace_norm(recon - self.target.mat) > 1e-8:
             raise ValueError(
                 "decomposition does not reconstruct the target to 1e-8 trace distance")
@@ -155,15 +148,15 @@ def eof_cq_conditional(d: Decomposition) -> float:
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
 class EofResult:
-    """Outcome of the numerical entanglement-of-formation search."""
+    """Outcome of the numerical entanglement-of-formation search; ``value``
+    is derived from ``decomposition`` (:func:`eof_cq_conditional`), not passed."""
 
-    value: float
     decomposition: Decomposition
     converged: bool
+    value: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.value - eof_cq_conditional(self.decomposition)) > 1e-9:
-            raise ValueError("result value is inconsistent with its decomposition")
+        object.__setattr__(self, "value", eof_cq_conditional(self.decomposition))
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: the fields reach arrays
@@ -221,6 +214,8 @@ class _EnsembleSearch:
     def start(self, restarts: int, seed: int, stream: int = 0) -> np.ndarray:
         """Mixings (restarts, m, rank): restart 0 is the spectral ensemble
         itself, restart i > 0 a Haar isometry from the stream (seed, stream, i)."""
+        if restarts < 1:
+            raise ValueError("restarts must be at least 1")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         if restarts * self.m * self.rank > MAX_TABLE_CELLS:
@@ -442,8 +437,6 @@ def eof_numeric(rho: DensityMatrix, *, restarts: int = 20, seed: int = 0,
     within 1e-9 (``_AGREE``) of the best value.  Restart streams
     (seed, restart index) make it deterministic for a fixed nonnegative ``seed``.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     search = _EnsembleSearch(rho)
@@ -454,11 +447,9 @@ def eof_numeric(rho: DensityMatrix, *, restarts: int = 20, seed: int = 0,
         vals[top], w[top], gg[top], moved[top] = _descend(w[top], 1000, search.eof_gradient,
                                                           _certified)
     best = int(np.argmin(vals))
-    decomp = search.decomposition(w[best] @ search.base)
-    value = eof_cq_conditional(decomp)
     converged = bool(_certified(vals, gg, moved) or search.rank == 1  # one decomposition
                      or np.count_nonzero(vals <= vals[best] + _AGREE) >= 2)
-    return EofResult(value, decomp, converged)
+    return EofResult(search.decomposition(w[best] @ search.base), converged)
 
 
 def one_shot_cost_bounds(rho: DensityMatrix, eps: float, *, restarts: int = 8,
@@ -497,8 +488,6 @@ def one_shot_cost_bounds(rho: DensityMatrix, eps: float, *, restarts: int = 8,
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     search = _EnsembleSearch(rho)
     delta_up = 0.5 * eps
     delta_low = 2.0 * math.sqrt(eps)

@@ -7,7 +7,8 @@ asymptotic cleverness.  Conventions fixed here and relied on everywhere else:
 - subsystem 0 is the leftmost tensor factor and the slowest-varying index
   (``numpy.kron`` order),
 - logarithms are base 2 (see :mod:`entcost.entropy`),
-- an eigenvalue counts as nonzero iff it exceeds ``RANK_RTOL * max(lmax, 1)``.
+- one rank rule (:func:`_ruled`) for every spectrum: a weight up to
+  ``RANK_RTOL`` of the spectrum's total counts as 0.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ HERM_TOL = 1e-10          # max-entry Hermiticity deviation for states
 PSD_TOL = 1e-9            # eigenvalues above -PSD_TOL count as nonnegative
 TRACE_TOL = 1e-9          # |tr(rho) - 1| for normalized states
 NORM_TOL = 1e-10          # |  ||psi|| - 1 | for pure states
-RANK_RTOL = 1e-9          # relative rank threshold, see numerical_rank()
+RANK_RTOL = 1e-9          # relative rank threshold, see _ruled()
 EIG_HERM_TOL = 1e-8       # Hermiticity tolerance accepted by herm_eig()
 
 
@@ -210,16 +211,16 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1], v[..., ::-1]
 
 
-def numerical_rank(evals: np.ndarray) -> int:
-    """Count eigenvalues above the documented relative threshold.
+def _ruled(w: np.ndarray) -> np.ndarray:
+    """Weights (..., n) with each one up to ``RANK_RTOL`` of its spectrum's
+    total (along the last axis) set to 0: the package's one rank rule, for
+    eigenvalues of a state and Schmidt weights of a branch alike."""
+    return np.where(w > RANK_RTOL * w.sum(axis=-1, keepdims=True), w, 0.0)
 
-    An eigenvalue counts as nonzero iff ``lam > RANK_RTOL * max(lmax, 1)``.
-    """
-    evals = np.asarray(evals, dtype=float)
-    if evals.size == 0:
-        return 0
-    cut = RANK_RTOL * max(float(evals.max()), 1.0)
-    return int(np.count_nonzero(evals > cut))
+
+def numerical_rank(evals: np.ndarray) -> int:
+    """Number of eigenvalues that the rank rule :func:`_ruled` keeps."""
+    return int(np.count_nonzero(_ruled(np.asarray(evals, dtype=float))))
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

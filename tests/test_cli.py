@@ -376,6 +376,16 @@ def test_exit_codes(capsys, tmp_path):
     code, out, _ = invoke(capsys, "strong-converse", "--channel", DEPH, "--n", "5",
                           "--restarts", "0")
     assert code == 2 and out == ""
+    # --rate belongs to --identity mode: --channel mode codes at ec1 + delta2,
+    # so a rate given there is refused rather than silently replaced
+    for rate in ("2", "5"):
+        code, out, err = invoke(capsys, "strong-converse", "--channel", DEPH, "--rate", rate,
+                                "--n", "5")
+        assert code == 2 and out == "" and "--rate" in err, rate
+    # --epsnet names only the options without a default (--dimA has one)
+    code, out, err = invoke(capsys, "constants", "--epsnet", "--chi", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --epsnet needs --chi, --eps and --dimB\n"
     # integers too large for a float are usage errors that name the option
     huge = str(10 ** 400)
     for argv in (("constants", "--postselection", "--n", huge),

@@ -234,6 +234,8 @@ def test_identity_error_bound():
     for rate in (0.9, math.nan):
         with pytest.raises(ValueError):
             identity_error_bound(rate, 4)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        identity_error_bound(2.0, -1)
 
 
 def test_identity_error_bound_no_uses():
@@ -250,6 +252,11 @@ def test_simulation_error_value():
     assert simulation_error(3, 0.0, 2, 2) == pytest.approx(64.0)
     with pytest.raises(ValueError, match="delta1"):
         simulation_error(10, math.nan, 2, 2)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        simulation_error(-1, 0.5, 2, 2)
+    for dim_a, dim_b in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            simulation_error(10, 0.5, dim_a, dim_b)
 
 
 def test_simulation_error_scan_reaches_small_values():
@@ -284,6 +291,9 @@ def test_converse_params_validation():
         ConverseParams(delta1=-0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
     with pytest.raises(ValueError):
         ConverseParams(delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=0)
+    for dim_in, dim_out in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            ConverseParams(delta1=0.1, delta2=0.2, dim_in=dim_in, dim_out=dim_out, n=10)
     p = ConverseParams(delta1=0.1, delta2=0.2, dim_in=2, dim_out=2, n=10)
     for ec in (-0.5, math.nan):
         with pytest.raises(ValueError):
@@ -307,6 +317,13 @@ def test_epsnet_size():
     for eps in (0.0, math.nan):
         with pytest.raises(ValueError):
             epsnet_size(1, eps, 2, 2)
+    # every counting factor refuses a negative n and a size below 1
+    for call in (lambda: epsnet_size(0, 0.5, 2, 2), lambda: epsnet_size(1, 0.5, 0, 2),
+                 lambda: epsnet_size(1, 0.5, 2, 0), lambda: postselection_factor_log2(-1, 2),
+                 lambda: postselection_factor_log2(3, 0), lambda: definetti_count_log2(-1, 2, 2),
+                 lambda: definetti_count_log2(3, 0, 2), lambda: definetti_count_log2(3, 2, 0)):
+        with pytest.raises(ValueError, match="need"):
+            call()
 
 
 def test_simulation_error_monotone_on_decade_grid():

@@ -10,6 +10,7 @@ import pytest
 from entcost.channels import apply, choi, dephasing, random_channel
 from entcost.entanglement import (
     Decomposition,
+    EofResult,
     concurrence_2q,
     eof_2q,
     eof_cq_conditional,
@@ -86,10 +87,14 @@ def test_max_entangled():
     phi3 = max_entangled(3)
     red = np.einsum("ab,cb->ac", phi3.vec.reshape(3, 3), phi3.vec.reshape(3, 3).conj())
     np.testing.assert_allclose(red, np.eye(3) / 3, atol=1e-12)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        max_entangled(0)
 
 
 def test_concurrence_bell():
     assert concurrence_2q(bell_dm()) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="needs a two-qubit state"):
+        concurrence_2q(DensityMatrix((2, 3), np.eye(6) / 6))
 
 
 def test_concurrence_dephasing_choi():
@@ -178,6 +183,28 @@ def test_decomposition_validation():
         Decomposition(items, cc_state())  # wrong target
     with pytest.raises(ValueError):
         Decomposition(((0.0, max_entangled(2)),), bell_dm())
+    with pytest.raises(ValueError, match="dims do not match"):
+        Decomposition(((1.0, max_entangled(2)),),
+                      DensityMatrix((4,), np.outer(BELL_PLUS, BELL_PLUS)))
+    with pytest.raises(ValueError, match="at least one item"):
+        Decomposition((), bell_dm())
+    # E_F is an infimum over decompositions of any size: a pure target, of
+    # rank 1, also has the two-item decomposition that splits its state
+    psi = random_pure_state((2, 3), np.random.default_rng(47))
+    d = Decomposition(((0.5, psi), (0.5, psi)), psi.to_density_matrix())
+    assert len(d.items) == 2
+    assert eof_cq_conditional(d) == eof_pure(psi)
+
+
+def test_eof_result_derives_its_value():
+    # the value is read off the decomposition, never passed in, so the two
+    # cannot disagree
+    psi = random_pure_state((2, 3), np.random.default_rng(53))
+    d = Decomposition(((1.0, psi),), psi.to_density_matrix())
+    res = EofResult(d, False)
+    assert (res.decomposition, res.converged, res.value) == (d, False, eof_cq_conditional(d))
+    with pytest.raises(TypeError):
+        EofResult(value=1.0, decomposition=d, converged=True)
 
 
 def test_eof_cq_conditional_examples():
@@ -498,6 +525,14 @@ def test_eof_numeric_range_checks():
         eof_numeric(random_density_matrix((7, 7), 2, rng))  # dimension cap
     with pytest.raises(ValueError):
         eof_numeric(rho, sweeps=0)
+    with pytest.raises(ValueError, match="expected a bipartite state"):
+        eof_numeric(random_density_matrix((2, 2, 2), 2, rng))
+    # one restart guard, in the search's start, for both searches
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            eof_numeric(rho, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            one_shot_cost_bounds(rho, 0.1, restarts=restarts)
     # the options are keyword-only: an old positional max_items fails
     with pytest.raises(TypeError):
         eof_numeric(rho, 4)

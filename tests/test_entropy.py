@@ -119,6 +119,8 @@ def test_cond_von_neumann():
     state = DensityMatrix((2, 2), 0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
                           + 0.5 * np.kron(np.eye(2) / 2, np.diag([0.0, 1.0])))
     assert cond_von_neumann(state) == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(ValueError, match="expected a bipartite state"):
+        cond_von_neumann(DensityMatrix((2, 2, 2), np.eye(8) / 8))
 
 
 def test_binary_h():
@@ -340,6 +342,8 @@ def test_aep_table_size_guard():
         with pytest.raises(ValueError, match=r"eps in \(0, 1\]"):
             aep_check(table, eps, 2)
     assert aep_check(table, 1.0, 2).holds
+    with pytest.raises(ValueError, match="expects a normalized table"):
+        aep_check(ClassicalJoint(np.full((2, 1), 0.25)), 0.1, 2)
 
 
 def test_product_table():
@@ -347,6 +351,8 @@ def test_product_table():
     prod = product_table(table, 2)
     np.testing.assert_allclose(prod.weights.reshape(-1),
                                [0.0625, 0.1875, 0.1875, 0.5625])
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        product_table(table, 0)
 
 
 def test_classical_cond_entropy():

@@ -10,6 +10,7 @@ from entcost.linalg import (
     ValidationError,
     haar_isometry,
     herm_eig,
+    numerical_rank,
     partial_trace,
     partial_trace_mat,
     partial_transpose_mat,
@@ -88,6 +89,8 @@ def test_partial_trace_bad_index():
     for keep in ([1.9], [0.2], True, [False]):
         with pytest.raises(ValueError, match="must be integers"):
             partial_trace(bell_dm(), keep=keep)
+    with pytest.raises(ValueError, match="duplicate subsystem indices"):
+        partial_trace(bell_dm(), keep=(0, 0))
 
 
 def test_herm_eig_diagonal():
@@ -137,6 +140,8 @@ def test_herm_eig_reverses_eigh_on_exact_ties():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        herm_eig(np.zeros((2, 3)))
 
 
 def test_trace_norm():
@@ -146,6 +151,8 @@ def test_trace_norm():
     assert trace_norm(rho.mat) == pytest.approx(1.0, abs=1e-9)
     diff = np.outer(BELL_PLUS, BELL_PLUS) - np.outer(BELL_MINUS, BELL_MINUS)
     assert trace_norm(diff) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        trace_norm(np.ones(4))
 
 
 def schmidt_sq(vec, dims=(2, 2)):
@@ -176,6 +183,19 @@ def test_schmidt_uses_package_rank_rule():
         assert search.smooth_value(psi.vec[None, None], 0.0) == [want], weight
 
 
+def test_numerical_rank_is_scale_invariant():
+    # one rank rule: a weight counts iff it exceeds RANK_RTOL of the
+    # spectrum's total, so rescaling a spectrum never changes its rank, and
+    # a 1e-12 tail never counts
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        head = 10.0 ** rng.uniform(-7.0, 0.0, size=rng.integers(1, 6))
+        tail = 1e-12 * rng.uniform(size=rng.integers(1, 4))
+        w = rng.permutation(np.concatenate([head / head.sum(), tail]))
+        for c in (1e-6, 1.0, 1e6):
+            assert numerical_rank(c * w) == head.size, (w, c)
+
+
 def test_schmidt_reconstruction_and_normalization():
     # the squared coefficients are the spectrum of either marginal, in both
     # orientations of the smaller side
@@ -203,6 +223,8 @@ def test_partial_transpose_involution():
     np.testing.assert_allclose(partial_transpose_mat(pt, (2, 3), 1), rho.mat,
                                atol=1e-14)
     assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
+    with pytest.raises(ValueError, match="out of range"):
+        partial_transpose_mat(rho.mat, (2, 3), 2)
 
 
 def test_psd_sqrt():
@@ -237,6 +259,10 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.diag([0.4, 0.4]))  # trace off
     with pytest.raises(ValidationError):
         DensityMatrix((2, 2), np.eye(2) / 2)  # dims mismatch
+    rng = np.random.default_rng(3)
+    for rank in (0, 5):
+        with pytest.raises(ValueError, match=r"rank must lie in \[1, 4\]"):
+            random_density_matrix((2, 2), rank, rng)
 
 
 def test_subsystem_dimensions_are_integers_of_at_least_one():
@@ -264,6 +290,8 @@ def test_subsystem_dimensions_are_integers_of_at_least_one():
 def test_pure_state_validation():
     with pytest.raises(ValidationError):
         PureState((2,), np.array([1.0, 1.0]))
+    with pytest.raises(ValidationError, match="vector length 3 does not match"):
+        PureState((2, 2), np.ones(3) / np.sqrt(3))
     psi = PureState((2,), np.array([1.0, 1.0]) / np.sqrt(2))
     rho = psi.to_density_matrix()
     assert rho.trace() == pytest.approx(1.0)
@@ -273,3 +301,5 @@ def test_haar_isometry_columns():
     rng = np.random.default_rng(41)
     v = haar_isometry(6, 3, rng)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
+    with pytest.raises(ValueError, match="rows >= cols"):
+        haar_isometry(2, 3, rng)
