@@ -152,15 +152,16 @@ def _family_channel(kind: str, x, error=ValueError) -> KrausChannel:
     return KrausChannel(_family_kraus(kind, x, error))
 
 
-def family_choi(kind: str, x) -> np.ndarray:
-    """Choi matrices ``(..., 4, 4)`` of family ``kind`` at each parameter of
-    ``x``, with every check that :func:`choi` makes on a single channel."""
+def family_choi(kind: str, x) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stack ``(..., k, 2, 2)`` and Choi matrices ``(..., 4, 4)`` of
+    family ``kind`` at each parameter of ``x``, with every check that
+    :class:`KrausChannel` and :func:`choi` make on a single channel."""
     ks = _family_kraus(kind, x)
     _check_kraus(ks)
     mats = _choi_gram(ks)
     _check_density(mats)
     _check_choi_marginal(mats, 2, 2)
-    return mats
+    return ks, mats
 
 
 def dephasing(p: float) -> KrausChannel:

@@ -104,7 +104,7 @@ def _float_arg(text: str) -> float:
 def _decomposition_json(d: Decomposition, value: float) -> dict:
     return {
         "value": value,
-        "items": [{"p": p, "vec": [[z.real, z.imag] for z in psi.vec]}
+        "items": [{"p": p, "vec": psi.vec.view(float).reshape(-1, 2).tolist()}
                   for p, psi in d.items],
     }
 
@@ -123,8 +123,8 @@ def _cmd_choi(args) -> str:
         "dim_in": rho.dims[1],
         "dim_out": rho.dims[0],
         "dims": list(rho.dims),
-        "re": [[z.real for z in row] for row in rho.mat],
-        "im": [[z.imag for z in row] for row in rho.mat],
+        "re": rho.mat.real.tolist(),
+        "im": rho.mat.imag.tolist(),
     })
 
 

@@ -1,11 +1,11 @@
 """Channel-level cost calculators and strong-converse formula evaluators.
 
 The single-letter bound ec1 of a qubit channel is closed form: evaluate the
-concurrence of the Choi state and push it through the two-qubit
-entanglement-of-formation formula.  Everything else here is
-arithmetic on top of that bound: noisy-storage security thresholds, figure
-sweeps, and the finite-blocklength error bounds, plus the polynomial counting
-factors that appear in the proofs.
+concurrence of the Choi state, from the Kraus vectors that factor it, and push
+it through the two-qubit entanglement-of-formation formula.  Everything else
+here is arithmetic on top of that bound: noisy-storage security thresholds,
+figure sweeps, and the finite-blocklength error bounds, plus the polynomial
+counting factors that appear in the proofs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 
 from .channels import (QUBIT_FAMILIES, KrausChannel, apply, choi, family_choi,
                        teleportation_covered)
-from .entanglement import (_concurrence, _eof_from_concurrence, eof_2q, eof_numeric,
-                           max_entangled)
+from .entanglement import _concurrence, _eof_from_concurrence, eof_numeric, max_entangled
 from .entropy import MAX_TABLE_CELLS, binary_h
 from .linalg import PureState, random_pure_state
 
@@ -44,6 +43,12 @@ class ConverseParams:
             raise ValueError("dimensions must be positive")
 
 
+def _ec1_from_kraus(ks: np.ndarray):
+    """ec1 of each qubit channel of a Kraus stack ``(..., k, 2, 2)``, read off
+    the Choi state's factor rows: the Kraus vectors over sqrt(2)."""
+    return _eof_from_concurrence(_concurrence(ks.reshape(ks.shape[:-2] + (4,)) / np.sqrt(2.0)))
+
+
 def ec1_qubit(ch: KrausChannel) -> float:
     """Single-letter bound ec1 of a qubit channel.
 
@@ -54,7 +59,8 @@ def ec1_qubit(ch: KrausChannel) -> float:
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise ValueError("ec1_qubit supports 2 -> 2 channels only")
-    return eof_2q(choi(ch))
+    choi(ch)  # for its checks only: a density matrix with input marginal I/2
+    return _ec1_from_kraus(ch.kraus)
 
 
 class Ec1Estimate(NamedTuple):
@@ -154,17 +160,18 @@ def security_region(family: str, grid: Sequence[float]) -> tuple[dict[str, np.nd
     parameter under its wire name (``QUBIT_FAMILIES[family][0]``), and whether
     :func:`entcost.channels.teleportation_covered` proves the boundary at every
     point (always for dephasing and depolarizing).  Each ``_CHUNK``-point piece
-    takes one Choi stack, which that predicate reads, and one square root, SVD
-    and array :func:`binary_h`, with the values :func:`ec1_qubit` point by point.
+    takes one checked Kraus stack and its Choi stack, which that predicate
+    reads, then one stacked SVD of the Kraus rows and one array
+    :func:`binary_h`: the kernel of :func:`ec1_qubit`, with its values.
     """
     if family not in QUBIT_FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
     grid = np.asarray(grid, dtype=float)
-    covered = []  # one flag per piece, read off the Choi stack ec1 is computed from
+    covered = []  # one flag per piece, read off the Choi stack of the Kraus stack ec1 reads
     def piece(part):
-        mats = family_choi(family, part)
+        ks, mats = family_choi(family, part)
         covered.append(teleportation_covered(mats).all())
-        return _eof_from_concurrence(_concurrence(mats))
+        return _ec1_from_kraus(ks)
     ec1 = _sweep(piece, grid, np.empty(grid.shape))
     return {QUBIT_FAMILIES[family][0]: grid, "ec1": ec1, "nu_max": _nu_max(ec1)}, all(covered)
 

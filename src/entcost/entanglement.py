@@ -32,7 +32,6 @@ from .linalg import (
     herm_eig,
     numerical_rank,
     partial_transpose_mat,
-    psd_sqrt,
     trace_norm,
 )
 
@@ -51,19 +50,18 @@ def max_entangled(d: int) -> PureState:
     return PureState((d, d), np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d))
 
 
-def _concurrence(mats: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state in a
-    ``(..., 4, 4)`` stack.
+def _concurrence(rows: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of each state of a
+    ``(..., k, 4)`` stack of rows r_k with ``rho = sum_k r_k r_k^H``.
 
     The l_i are the decreasing square roots of the eigenvalues of
-    ``rho @ spin_flipped(rho)``; they equal the singular values of
-    ``sqrt(rho) (sy (x) sy) conj(sqrt(rho))``, which is how they are computed
-    here (the singular-value route avoids the square-root blowup of
-    eigenvalue noise on rank-deficient states).
+    ``rho @ spin_flipped(rho)``.  With A the 4 x k factor whose columns are
+    the r_k, so that ``rho = A A^H``, they equal the singular values of the
+    k x k matrix ``A^T (sy (x) sy) A``: the missing ones are 0 when k < 4, and
+    the product has rank at most 4 when k > 4.  No square root of rho is taken.
     """
-    s = psd_sqrt(mats)
-    sv = np.linalg.svd(s @ _YY @ s.conj(), compute_uv=False)
-    c = sv[..., 0] - sv[..., 1] - sv[..., 2] - sv[..., 3]
+    sv = np.linalg.svd(rows @ _YY @ np.swapaxes(rows, -1, -2), compute_uv=False)
+    c = sv[..., 0] - sv[..., 1:].sum(axis=-1)
     return np.where(c > 0.0, c, 0.0)
 
 
@@ -72,10 +70,14 @@ def _eof_from_concurrence(c):
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence of a single state (see :func:`_concurrence`)."""
+    """Two-qubit concurrence of a single state, from the rows of its factor
+    ``V sqrt(w)`` of one eigendecomposition (see :func:`_concurrence`)."""
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence needs a two-qubit state, got dims {rho.dims}")
-    return float(_concurrence(rho.mat))
+    w, v = herm_eig(rho.mat)
+    # eigenvalue dust (negative, or a few hundred epsilons of the largest) is 0
+    w[w < 2e2 * np.finfo(float).eps * w[0]] = 0.0
+    return float(_concurrence((v * np.sqrt(w)).T))
 
 
 def eof_2q(rho: DensityMatrix) -> float:

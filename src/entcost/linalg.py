@@ -223,24 +223,6 @@ def numerical_rank(evals: np.ndarray) -> int:
     return int(np.count_nonzero(_ruled(np.asarray(evals, dtype=float))))
 
 
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a PSD-to-tolerance Hermitian matrix, or of each in a stack.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to 0 so numerical noise cannot
-    produce complex roots; anything more negative, in any matrix, raises.
-    Positive eigenvalue dust below a few hundred machine epsilons of the
-    matrix's largest eigenvalue is zeroed too, because the square root would
-    blow such noise up from 1e-16 to 1e-8.
-    """
-    w, v = herm_eig(mat)
-    low = w[..., -1].min()
-    if low < -PSD_TOL:
-        raise ValidationError(f"matrix is not PSD: eigenvalue {low:.3e}")
-    w = np.clip(w, 0.0, None)
-    w[w < 2e2 * np.finfo(float).eps * w[..., :1]] = 0.0
-    return (v * np.sqrt(w)[..., None, :]) @ _dag(v)
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values of a matrix (rectangular ones too, such as a
     realignment)."""

@@ -157,10 +157,10 @@ def test_teleportation_covered():
     for j in covered:
         assert teleportation_covered(j), j.dims
     for kind in ("dephasing", "depolarizing"):
-        flags = teleportation_covered(family_choi(kind, grid.reshape(1, -1)))
+        flags = teleportation_covered(family_choi(kind, grid.reshape(1, -1))[1])
         assert flags.shape == (1, 101) and flags.all(), kind
     # amplitude damping is a Pauli channel only at r = 1, the identity
-    flags = teleportation_covered(family_choi("amplitude_damping", grid))
+    flags = teleportation_covered(family_choi("amplitude_damping", grid)[1])
     assert flags.tolist() == [False] * 100 + [True]
     rng = np.random.default_rng(1)
     for ch in (random_channel(3, 3, 2, rng), random_channel(3, 2, 2, rng)):
@@ -208,10 +208,12 @@ def test_family_choi_stack_matches_single_channels():
     grid = np.array([0.0, 0.25, 0.5, 2 / 3, 1.0])
     for family in QUBIT_FAMILIES:
         ctor = getattr(channels, family)
-        mats = family_choi(family, grid)
-        assert mats.shape == (5, 4, 4)
-        for x, mat in zip(grid, mats):
-            np.testing.assert_array_equal(mat, choi(ctor(float(x))).mat)
+        ks, mats = family_choi(family, grid)
+        assert ks.shape[::2] == (5, 2) and mats.shape == (5, 4, 4)
+        for x, k, mat in zip(grid, ks, mats):
+            ch = ctor(float(x))
+            np.testing.assert_array_equal(k, ch.kraus)
+            np.testing.assert_array_equal(mat, choi(ch).mat)
 
 
 def test_family_choi_checks_every_point(monkeypatch):

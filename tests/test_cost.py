@@ -31,7 +31,7 @@ from entcost.cost import (
     simulation_error,
     strong_converse_error_bound,
 )
-from entcost.entanglement import eof_numeric
+from entcost.entanglement import _concurrence, eof_numeric
 from entcost.entropy import binary_h
 
 
@@ -145,9 +145,8 @@ def test_security_region_matches_per_point_path():
         assert cols[QUBIT_FAMILIES[family][0]].tolist() == grid.tolist()
         for i, x in enumerate(grid):
             want = ec1_qubit(ctor(float(x)))
-            assert abs(cols["ec1"][i] - want) <= 1e-15, (family, x)
-            # exact zeros stay exact, so nu_max is the unbounded marker there
-            assert (cols["ec1"][i] == 0.0) == (want == 0.0), (family, x)
+            assert cols["ec1"][i] == want, (family, x)  # one kernel for both
+            # nu_max is the unbounded marker exactly where ec1 is zero
             assert (cols["nu_max"][i] == UNBOUNDED) == (want == 0.0), (family, x)
 
 
@@ -161,6 +160,17 @@ def test_security_region_exact_zero_rows():
     for family, x in (("dephasing", 0.5), ("depolarizing", 2 / 3),
                       ("amplitude_damping", 0.0)):
         assert security_region(family, [x])[0]["nu_max"][0] == UNBOUNDED
+
+
+def test_family_concurrence_matches_closed_forms():
+    # the kernel on each family's Kraus rows, against the Bell-basis closed forms
+    grid = np.linspace(0.0, 1.0, 2 ** 16)
+    for family, want in (("dephasing", np.abs(1.0 - 2.0 * grid)),
+                         ("depolarizing", np.maximum(0.0, 1.0 - 1.5 * grid)),
+                         ("amplitude_damping", np.sqrt(grid))):
+        ks = entcost.channels._family_kraus(family, grid)
+        c = _concurrence(ks.reshape(-1, ks.shape[-3], 4) / math.sqrt(2.0))
+        assert np.abs(c - want).max() <= 1e-15, family
 
 
 def test_security_region_rejects_parameters_outside_unit_interval():

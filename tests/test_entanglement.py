@@ -135,6 +135,23 @@ def test_concurrence_multiplicative_under_local_channels():
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+def test_ec1_qubit_kraus_rows_match_eigenvector_rows():
+    # ec1_qubit reads the Kraus vectors as the Choi state's factor; eof_2q
+    # reads the eigenvectors of the Choi matrix.  k > 4 Kraus operators make
+    # the k x k spin-flip product rank deficient.
+    from entcost.cost import ec1_qubit
+    rng = np.random.default_rng(31)
+    for k in range(1, 9):
+        for _ in range(20):
+            ch = random_channel(2, 2, k, rng)
+            j = choi(ch)
+            oracle = binary_h(0.5 + 0.5 * math.sqrt(1.0 - concurrence_oracle(j) ** 2))
+            assert abs(ec1_qubit(ch) - eof_2q(j)) <= 1e-12, k
+            # below rank 4 the oracle takes square roots of eigenvalue dust,
+            # about 1e-17, so it is itself only good to about 1e-8 there
+            assert abs(ec1_qubit(ch) - oracle) <= (1e-12 if k >= 4 else 1e-6), k
+
+
 def test_eof_2q_values():
     assert eof_2q(bell_dm()) == pytest.approx(1.0, abs=1e-12)
     got = eof_2q(choi(dephasing(0.25)))

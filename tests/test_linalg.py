@@ -14,7 +14,6 @@ from entcost.linalg import (
     partial_trace,
     partial_trace_mat,
     partial_transpose_mat,
-    psd_sqrt,
     random_density_matrix,
     random_pure_state,
     trace_norm,
@@ -225,29 +224,6 @@ def test_partial_transpose_involution():
     assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
     with pytest.raises(ValueError, match="out of range"):
         partial_transpose_mat(rho.mat, (2, 3), 2)
-
-
-def test_psd_sqrt():
-    rng = np.random.default_rng(37)
-    rho = random_density_matrix((4,), 2, rng)
-    s = psd_sqrt(rho.mat)
-    np.testing.assert_allclose(s @ s, rho.mat, atol=1e-10)
-
-
-def test_psd_sqrt_stack_matches_single_matrices():
-    rng = np.random.default_rng(38)
-    stack = np.stack([random_density_matrix((4,), rank, rng).mat for rank in (1, 2, 4)])
-    roots = psd_sqrt(stack)
-    for mat, root in zip(stack, roots):
-        np.testing.assert_array_equal(root, psd_sqrt(mat))
-
-
-def test_psd_sqrt_stack_rejects_one_bad_matrix():
-    good = np.eye(2, dtype=complex) / 2
-    for bad in (np.diag([1.5, -0.5]),                   # not PSD
-                np.array([[0.5, 0.5], [0.0, 0.5]])):    # not Hermitian
-        with pytest.raises(ValidationError):
-            psd_sqrt(np.stack([good, bad, good]))
 
 
 def test_density_matrix_validation():
