@@ -196,7 +196,9 @@ class _EnsembleSearch:
     gradient engine serves them: :func:`_descend` steps stacked restarts of W
     together, with the gradient of the average entropy
     (:meth:`eof_gradient`) or of the smooth max-entropy tiebreak
-    (:meth:`smooth_gradient`).
+    (:meth:`smooth_gradient`).  Their spectral kernel (:meth:`_spectra`,
+    :meth:`_tangent`) is one batched ``eigh``, or a closed form when the
+    smaller side is a qubit.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -212,6 +214,11 @@ class _EnsembleSearch:
         keep = np.clip(w[:self.rank], 0.0, None)
         self.base = (v[:, :self.rank] * np.sqrt(keep)).T  # (rank, D)
         self.m = min(self.rank * self.rank, 2 * self.rank)
+        # on a qubit side, pair[j, (a, b), k] = (M_j M_k^H)[a, b] for the
+        # marginals M_j of the base rows (see _spectra)
+        mats = _marginal(self.base, self.da, self.db)
+        self.pair = None if min(rho.dims) != 2 else np.einsum(
+            "jax,kbx->jabk", mats, mats.conj()).reshape(self.rank, -1)
 
     def start(self, restarts: int, seed: int, stream: int = 0) -> np.ndarray:
         """Mixings (restarts, m, rank): restart 0 is the spectral ensemble
@@ -220,9 +227,10 @@ class _EnsembleSearch:
             raise ValueError("restarts must be at least 1")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
-        if restarts * self.m * self.rank > MAX_TABLE_CELLS:
+        cells = restarts * self.m * self.rank * (1 if self.pair is None else 4)  # w, or wb
+        if cells > MAX_TABLE_CELLS:
             raise ValueError(f"{restarts} restarts of {self.m} x {self.rank} mixings "
-                             f"exceed {MAX_TABLE_CELLS} array entries")
+                             f"need {cells} array entries, more than {MAX_TABLE_CELLS}")
         u = np.zeros((restarts, self.m, self.rank), dtype=complex)
         u[0, :self.rank] = np.eye(self.rank)
         if restarts > 1:
@@ -231,23 +239,48 @@ class _EnsembleSearch:
         return u
 
     def _spectra(self, w: np.ndarray):
-        """Branch marginals M (R, m, n, N) of mixings w (R, m, rank) and the
-        ascending eigenvalues and eigenvectors of their grams, from one
-        batched ``eigh``."""
-        mat = _marginal(w @ self.base, self.da, self.db)
-        lam, vec = np.linalg.eigh(mat @ _dag(mat))
-        return mat, lam, vec
+        """Ascending eigenvalues (R, m, n) of the branch marginal grams of
+        mixings w (R, m, rank), and what :meth:`_tangent` needs of them.
 
-    def _tangent(self, w: np.ndarray, mat: np.ndarray, vec: np.ndarray,
-                 weight: np.ndarray) -> np.ndarray:
+        In general one batched ``eigh`` of the grams ``M M^H`` of the branch
+        marginals M gives them with their eigenvectors.  On a qubit side
+        (n = 2) no eigenvector is formed: ``wb = w @ pair`` is one product,
+        ``G_ab = sum_k wb[ab, k] conj(w_k)`` every gram, and its eigenvalues
+        are ``mid -+ rad``, with ``mid = (G00 + G11) / 2`` and ``rad =
+        hypot((G00 - G11) / 2, |G01|)``.
+        """
+        if self.pair is None:
+            mat = _marginal(w @ self.base, self.da, self.db)
+            lam, vec = np.linalg.eigh(mat @ _dag(mat))
+            return lam, (mat, vec)
+        wb = (w @ self.pair).reshape(w.shape[:-1] + (4, -1))  # (R, m, 4, rank)
+        g = (wb @ w.conj()[..., None])[..., 0]  # G00, G01, G10, G11
+        mid, h = 0.5 * (g[..., 0] + g[..., 3]).real, 0.5 * (g[..., 0] - g[..., 3]).real
+        rad = np.hypot(h, np.abs(g[..., 1]))
+        return np.stack([mid - rad, mid + rad], axis=-1), (wb, g[..., 1], h, rad)
+
+    def _tangent(self, w: np.ndarray, spec: tuple, weight: np.ndarray) -> np.ndarray:
         """Riemannian gradient at w of a sum of f(lam) over the branch
-        eigenvalues, given ``weight = f'(lam)`` (broadcastable to (R, m, n)):
-        per branch ``dF/dconj(M) = V diag(weight) V^H M``, pulled back by
-        ``@ base^H``, projected by ``G - W sym(W^H G)``."""
-        grad = (vec * weight[..., None, :]) @ (_dag(vec) @ mat)
-        if self.da > self.db:
-            grad = np.swapaxes(grad, -1, -2)
-        grad = grad.reshape(w.shape[:-1] + (-1,)) @ _dag(self.base)
+        eigenvalues, given ``weight = f'(lam)`` (broadcastable to (R, m, n))
+        and the ``spec`` of :meth:`_spectra`: per branch ``dF/dconj(M) =
+        f'(G) M``, pulled back by ``@ base^H``, projected by ``G - W sym(W^H
+        G)``.  In general ``f'(G) = V diag(weight) V^H``.  On a qubit side
+        ``f'(G) = a I + b (G - mid I)``, with ``a = (w+ + w-) / 2`` and ``b =
+        (w+ - w-) / (2 rad)`` (0 at rad = 0), whose b term has entries of
+        size rad, and the pullback is ``grad_k = sum_ab f'(G)_ba wb[ab, k]``.
+        """
+        if self.pair is None:
+            mat, vec = spec
+            grad = (vec * weight[..., None, :]) @ (_dag(vec) @ mat)
+            if self.da > self.db:
+                grad = np.swapaxes(grad, -1, -2)
+            grad = grad.reshape(w.shape[:-1] + (-1,)) @ _dag(self.base)
+        else:
+            wb, g01, h, rad = spec
+            lo, hi = 0.5 * weight[..., 0], 0.5 * weight[..., 1]
+            a, b = hi + lo, np.divide(hi - lo, rad, out=np.zeros(rad.shape), where=rad > 0)
+            ft = np.stack([a + b * h, b * g01.conj(), b * g01, a - b * h], axis=-1)
+            grad = (ft[..., None, :] @ wb)[..., 0, :]
         sym = _dag(w) @ grad
         return grad - w @ (0.5 * (sym + _dag(sym)))
 
@@ -256,11 +289,11 @@ class _EnsembleSearch:
         Riemannian gradients, with weight ``-log2(sigma / p)`` per eigenvalue
         sigma of a branch gram of weight p, zeroed on the kernel (eigenvalues
         up to 1e-15 p, where M has no support)."""
-        mat, lam, vec = self._spectra(w)
+        lam, spec = self._spectra(w)
         p = lam.sum(axis=-1, keepdims=True)
         keep = lam > 1e-15 * p
         log = np.log2(np.where(keep, lam, 1.0) / np.where(keep, p, 1.0))
-        return -(lam * log).sum(axis=(-2, -1)), self._tangent(w, mat, vec, -log)
+        return -(lam * log).sum(axis=(-2, -1)), self._tangent(w, spec, -log)
 
     def smooth_gradient(self, w: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
         """Smooth scores ``2 support + excess`` (R,) of mixings w at budgets
@@ -273,11 +306,11 @@ class _EnsembleSearch:
         weight is 1 on those eigenvalues and 0 elsewhere (Ky Fan); the
         support, piecewise constant, has no gradient.
         """
-        mat, lam, vec = self._spectra(w)
+        lam, spec = self._spectra(w)
         support, excess = _smooth_support(np.moveaxis(_ruled(lam), -1, 0), delta)
         cut = np.where(support > 0, lam.shape[-1] + 1 - support, 0)
         weight = np.arange(lam.shape[-1]) < cut[:, None, None]  # (R, 1, n), broadcast
-        return 2.0 * support + excess, self._tangent(w, mat, vec, weight)
+        return 2.0 * support + excess, self._tangent(w, spec, weight)
 
     def smooth_value(self, rows: np.ndarray, delta) -> list:
         """Smooth conditional max-entropy of each decomposition in ``rows``

@@ -476,6 +476,17 @@ def test_eof_numeric_exact_on_lifted_qutrit_states():
         res = eof_numeric(rho, restarts=8, seed=i)
         gap = res.value - eof_2q(small)
         assert -1e-9 <= gap <= 1e-9, (i, gap)
+    # lifted on one side only, the search runs its qubit-side kernel on
+    # non-square shapes and in both orientations, at ranks 2 to 4
+    for i, dims in enumerate(((2, 3), (3, 2), (2, 4))):
+        for rank in (2, 3, 4):
+            rng = np.random.default_rng((8, i, rank))
+            small = random_density_matrix((2, 2), rank, rng)
+            lift = np.kron(haar_isometry(dims[0], 2, rng), haar_isometry(dims[1], 2, rng))
+            rho = DensityMatrix(dims, lift @ small.mat @ lift.conj().T)
+            res = eof_numeric(rho, restarts=8, seed=rank)
+            gap = res.value - eof_2q(small)
+            assert -1e-9 <= gap <= 1e-9, (dims, rank, gap)
 
 
 def flagged_direct_sum(rng, blocks):
@@ -948,3 +959,61 @@ def test_smooth_gradient_matches_finite_differences():
     score = s.smooth_gradient(w, 0.0)[0][0]
     assert score == pytest.approx(3.0 - 1e-12, abs=1e-14)
     assert math.floor(score / 2) == 2 ** s.smooth_value(w @ s.base, 0.0)[0] == 1
+
+
+def test_qubit_side_kernel_matches_the_eigenvector_formula():
+    # with a qubit side the search reads each 2x2 branch gram's spectrum and
+    # f'(G) in closed form; both objectives' values and Riemannian gradients
+    # agree with the general path's per-branch eigh, in both orientations and at
+    # every rank, on Bell-state branches (rad = 0) and product branches (a
+    # zero eigenvalue) too.  At a tie eigh's eigenvectors are arbitrary, so
+    # the smooth gradient is compared only where every branch has rad > 1e-6 p
+    from entcost.entanglement import _EnsembleSearch
+
+    def transposed(rho):
+        da, db = rho.dims
+        mat = rho.mat.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(rho.mat.shape)
+        return DensityMatrix((db, da), mat)
+
+    states = []
+    for n in (2, 3, 4):
+        for rank in range(1, 2 * n + 1):
+            states.append(random_density_matrix((2, n), rank, np.random.default_rng((43, n, rank))))
+        bell = np.zeros((2, n), dtype=complex)
+        bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
+        states.append(PureState((2, n), bell.reshape(-1)).to_density_matrix())
+        sigma = random_density_matrix((1, n), n, np.random.default_rng((44, n))).mat
+        states.append(DensityMatrix((2, n), np.kron(np.diag([1.0, 0.0]), sigma)))
+    pairs = np.zeros((2, 2, 4), dtype=complex)  # |0>|j> + |1>|j + 2>, j = 0, 1
+    pairs[0, 0, 0] = pairs[0, 1, 2] = pairs[1, 0, 1] = pairs[1, 1, 3] = 1 / math.sqrt(2)
+    states.append(DensityMatrix((2, 4), 0.5 * np.einsum("ji,jk->ik", pairs.reshape(2, 8),
+                                                        pairs.reshape(2, 8).conj())))
+    states += [transposed(rho) for rho in states if rho.dims != (2, 2)]
+    ties = compared = 0
+    for k, rho in enumerate(states):
+        s, ref = _EnsembleSearch(rho), _EnsembleSearch(rho)
+        assert s.pair is not None, rho.dims
+        ref.pair = None  # the general path: a batched eigh of the branch grams
+        w = s.start(4, k)
+        for got, want in zip(s.eof_gradient(w), ref.eof_gradient(w)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        lam = ref._spectra(w)[0]
+        split = (lam[..., 1] - lam[..., 0] > 2e-6 * lam.sum(axis=-1)).all(axis=-1)
+        ties += np.count_nonzero(~split)
+        for delta in (0.0, 0.05, 0.15):
+            vals, grad = s.smooth_gradient(w, delta)
+            ref_vals, ref_grad = ref.smooth_gradient(w, delta)
+            np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad[split], ref_grad[split], rtol=0, atol=1e-12)
+            compared += np.count_nonzero(split)
+    assert ties > 0 and compared > 0
+
+
+def test_search_cap_counts_the_qubit_side_table():
+    # on a qubit side each step forms wb = w @ pair, 4 times the mixings, and
+    # the restart cap counts it: 2x2 at rank 4 mixes 8 x 4, so 2^20 / 128 restarts
+    from entcost.entanglement import _EnsembleSearch
+
+    s = _EnsembleSearch(random_density_matrix((2, 2), 4, np.random.default_rng(45)))
+    with pytest.raises(ValueError, match="need 1048704 array entries"):
+        s.start(8193, 0)
